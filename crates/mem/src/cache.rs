@@ -75,18 +75,12 @@ pub struct SetAssocCache {
     /// Tag per (set, way); `u64::MAX` marks an invalid way.
     tags: Vec<u64>,
     /// Per-set LRU order: `ways` way indices per set, MRU first. The
-    /// victim is always the last entry, so a fill is an O(1) pick plus a
-    /// small byte rotate instead of an aging sweep — the representation
-    /// the interval engine's bulk fills lean on. Initialized with way 0
-    /// last, so invalid ways are consumed in index order exactly like a
-    /// first-free-way scan.
+    /// victim is always the last entry, so a miss is an O(1) pick plus a
+    /// small byte rotate instead of a per-way aging sweep. Initialized
+    /// with way 0 last, so invalid ways are consumed in index order
+    /// exactly like a first-free-way scan.
     order: Vec<u8>,
     dirty: Vec<bool>,
-    /// Count of currently dirty lines, maintained incrementally. The
-    /// interval engine uses `dirty_lines == 0` as proof that every
-    /// eviction during a cold streaming run is clean (no writeback
-    /// traffic can occur), which is one of its validity conditions.
-    dirty_lines: u64,
     stats: CacheStats,
 }
 
@@ -117,7 +111,6 @@ impl SetAssocCache {
             tags: vec![INVALID; sets * ways],
             order,
             dirty: vec![false; sets * ways],
-            dirty_lines: 0,
             stats: CacheStats::default(),
         }
     }
@@ -161,9 +154,8 @@ impl SetAssocCache {
         // Hit path.
         if let Some(w) = ways.iter().position(|&t| t == line) {
             self.touch(base, w as u8);
-            if write && !self.dirty[base + w] {
+            if write {
                 self.dirty[base + w] = true;
-                self.dirty_lines += 1;
             }
             self.stats.hits += 1;
             return CacheOutcome::Hit;
@@ -177,65 +169,13 @@ impl SetAssocCache {
         let idx = base + usize::from(victim);
         let writeback = if self.tags[idx] != INVALID && self.dirty[idx] {
             self.stats.writebacks += 1;
-            self.dirty_lines -= 1;
             Some(self.tags[idx])
         } else {
             None
         };
         self.tags[idx] = line;
         self.dirty[idx] = write;
-        if write {
-            self.dirty_lines += 1;
-        }
         CacheOutcome::Miss { writeback }
-    }
-
-    /// Fills a line the caller has *proved* absent (and whose victim is
-    /// provably clean because [`SetAssocCache::dirty_lines`]` == 0`):
-    /// exactly [`SetAssocCache::access`]`(line, false)` minus the hit scan
-    /// and the writeback branch, both of which are dead under those
-    /// preconditions. The interval engine's per-line workhorse.
-    #[inline]
-    pub fn fill_cold(&mut self, line: u64) {
-        debug_assert_ne!(line, INVALID);
-        let base = self.set_of(line) * self.ways;
-        debug_assert!(
-            !self.tags[base..base + self.ways].contains(&line),
-            "fill_cold of a line that is present"
-        );
-        self.stats.misses += 1;
-        let victim = self.pop_lru(base);
-        debug_assert!(!self.dirty[base + usize::from(victim)], "fill_cold evicting a dirty line");
-        self.tags[base + usize::from(victim)] = line;
-    }
-
-    /// Fills `n` sequential lines the caller has proved absent (victims
-    /// provably clean, as for [`SetAssocCache::fill_cold`]): exactly
-    /// equivalent to `n` `fill_cold` calls on `first_line..first_line+n`,
-    /// with the stats update hoisted out of the loop. The interval
-    /// engine's per-page workhorse.
-    pub fn fill_cold_run(&mut self, first_line: u64, n: u64) {
-        self.stats.misses += n;
-        for line in first_line..first_line + n {
-            debug_assert_ne!(line, INVALID);
-            let base = self.set_of(line) * self.ways;
-            debug_assert!(
-                !self.tags[base..base + self.ways].contains(&line),
-                "fill_cold_run of a line that is present"
-            );
-            let victim = self.pop_lru(base);
-            debug_assert!(
-                !self.dirty[base + usize::from(victim)],
-                "fill_cold_run evicting a dirty line"
-            );
-            self.tags[base + usize::from(victim)] = line;
-        }
-    }
-
-    /// Number of currently dirty lines.
-    #[inline]
-    pub fn dirty_lines(&self) -> u64 {
-        self.dirty_lines
     }
 
     /// Credits `n` additional hits without touching replacement state.
@@ -263,10 +203,7 @@ impl SetAssocCache {
         let set = self.set_of(line);
         let base = set * self.ways;
         if let Some(w) = self.tags[base..base + self.ways].iter().position(|&t| t == line) {
-            if !self.dirty[base + w] {
-                self.dirty[base + w] = true;
-                self.dirty_lines += 1;
-            }
+            self.dirty[base + w] = true;
             true
         } else {
             false
@@ -393,84 +330,6 @@ mod tests {
         assert_eq!(looped.stats(), bulk.stats());
         assert!(looped.probe(1) && bulk.probe(1));
         assert!(!looped.probe(0) && !bulk.probe(0));
-    }
-
-    #[test]
-    fn fill_cold_matches_access_on_clean_cache() {
-        let mut via_access = tiny(2, 2);
-        via_access.access(1, false);
-        via_access.access(3, false);
-        let mut via_cold = via_access.clone();
-        for line in [5, 7, 9, 11] {
-            via_access.access(line, false);
-            via_cold.fill_cold(line);
-        }
-        assert_eq!(via_access.stats(), via_cold.stats());
-        for line in [1, 5, 7, 9, 11] {
-            assert_eq!(via_access.probe(line), via_cold.probe(line), "line {line}");
-        }
-        // Subsequent normal traffic observes identical replacement state.
-        via_access.access(13, false);
-        via_cold.access(13, false);
-        assert_eq!(via_access.probe(5), via_cold.probe(5));
-        assert_eq!(via_access.probe(9), via_cold.probe(9));
-    }
-
-    #[test]
-    fn fill_cold_run_matches_per_line_fill_cold() {
-        // Cover partially filled sets, full sets with LRU eviction, and
-        // set reuse within one run (n > sets), across geometries.
-        for (ways, sets) in [(2usize, 2usize), (8, 4), (4, 16)] {
-            let mut looped = tiny(ways, sets);
-            // Pre-populate with a clean, irregular working set.
-            for line in [0u64, 3, 7, 1, 3, 0] {
-                looped.access(line, false);
-            }
-            let mut bulk = looped.clone();
-            let (first, n) = (5u64, (2 * sets + 1) as u64);
-            for line in first..first + n {
-                if !looped.probe(line) {
-                    looped.fill_cold(line);
-                }
-            }
-            // The bulk path needs the same absent-lines precondition; the
-            // range above only collides for the smallest geometry, so
-            // filter identically.
-            let absent: Vec<u64> = (first..first + n).filter(|&l| !bulk.probe(l)).collect();
-            let mut start = absent[0];
-            let mut len = 0u64;
-            for &l in &absent {
-                if l == start + len {
-                    len += 1;
-                } else {
-                    bulk.fill_cold_run(start, len);
-                    start = l;
-                    len = 1;
-                }
-            }
-            bulk.fill_cold_run(start, len);
-            assert_eq!(looped.stats(), bulk.stats(), "{ways}w{sets}s");
-            assert_eq!(looped.tags, bulk.tags, "{ways}w{sets}s");
-            assert_eq!(looped.order, bulk.order, "{ways}w{sets}s");
-        }
-    }
-
-    #[test]
-    fn dirty_lines_tracks_stores_and_writebacks() {
-        let mut c = tiny(1, 2);
-        assert_eq!(c.dirty_lines(), 0);
-        c.access(0, true);
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(0, true); // re-dirtying is not double counted
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(1, false);
-        assert!(c.mark_dirty(1));
-        assert_eq!(c.dirty_lines(), 2);
-        c.access(2, false); // evicts dirty line 0 (set 0)
-        assert_eq!(c.dirty_lines(), 1);
-        c.access(3, false); // evicts dirty line 1 (set 1)
-        assert_eq!(c.dirty_lines(), 0);
-        assert_eq!(c.stats().writebacks, 2);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use tiersim::core::{run_workload, ExperimentConfig, MachineConfig, RunReport, Tr
 use tiersim::policy::TieringMode;
 use tiersim_bench::run_repro_suite;
 use tiersim_core::experiments::{Characterization, Comparison};
+use tiersim_core::journal::codec::fnv1a64;
 use tiersim_core::sweep;
 
 fn tiny(jobs: usize) -> ExperimentConfig {
@@ -46,6 +47,10 @@ fn repro_suite_output_is_byte_identical_across_jobs() {
     assert_eq!(serial.summary(), parallel.summary());
     assert_eq!(serial.exit_code(), 0);
     assert_eq!(parallel.exit_code(), 0);
+    // Pins the suite's bytes, not just their agreement across jobs: a
+    // change to any reproduced number must update this digest on purpose.
+    let digest = fnv1a64(serial.output().as_bytes());
+    assert_eq!(digest, 0x68f9_8959_2c47_04f2, "suite output changed: {digest:016x}");
 }
 
 /// The `--trace` export is part of the determinism contract: the traced
