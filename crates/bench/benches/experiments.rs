@@ -7,6 +7,7 @@ use tiersim_core::experiments::{
     AutonumaTrace, Characterization, Comparison, ExperimentConfig, ObjectAnalysis,
 };
 use tiersim_core::{Dataset, Kernel};
+use tiersim_policy::TieringMode;
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -62,7 +63,8 @@ fn bench_comparison(c: &mut Criterion) {
         b.iter(|| {
             let cfg = cfg();
             let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-            Comparison::compare(&cfg, w, false).unwrap()
+            let auto = cfg.run(w, TieringMode::AutoNuma).unwrap();
+            Comparison::compare(&cfg, &auto, false).unwrap()
         })
     });
     g.finish();

@@ -45,7 +45,7 @@ fn main() {
     for kernel in kernels {
         for dataset in [Dataset::Kron] {
             let w = cfg.workload(kernel, dataset);
-            let base = cfg.machine_for(&w, TieringMode::AutoNuma);
+            let base = cfg.machine(TieringMode::AutoNuma);
             println!(
                 "== {} dram={}MB nvm={}MB steady_est={}MB peak_est={}MB ==",
                 w.name(),

@@ -1,6 +1,6 @@
-//! Runs every reproduction experiment and prints all tables/figures,
-//! sharing the six characterization runs across Tables 1–3 and
-//! Figures 3–5.
+//! Runs every reproduction experiment and prints all tables/figures. The
+//! six AutoNUMA paper runs are made once and feed Figures 3–11: Tables
+//! 1–3 and Figures 3–5 and 11 read all six, Figures 6–10 read bc_kron.
 //!
 //! Experiments are isolated: a failing (or panicking) experiment is
 //! recorded and the rest still run. A failure summary is printed at the
@@ -10,11 +10,11 @@
 //! printed tables and `--out` bytes are identical for every value (see
 //! DESIGN.md §10).
 //!
-//! `--resume PATH` runs the suite against a durable write-ahead journal
-//! (DESIGN.md §13): killed runs — including `--kill-at N` injected kills
-//! and real SIGKILL — resume where they left off, never re-executing a
-//! completed experiment, and produce byte-identical reports to an
-//! uninterrupted run.
+//! `--resume PATH` runs the same cells against a durable write-ahead
+//! journal (DESIGN.md §13): killed runs — including `--kill-at N`
+//! injected kills and real SIGKILL — resume where they left off, never
+//! re-executing a completed experiment, and produce byte-identical
+//! reports to an uninterrupted run.
 
 //! `repro_all tune ...` dispatches to the AutoNUMA knob auto-tuner
 //! service instead (DESIGN.md §16); see `tiersim_bench::tune_cli`.

@@ -48,12 +48,17 @@ pub mod tune_cli;
 pub use tune_cli::{run_tune_cli, TuneCli, TUNE_USAGE};
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 use tiersim_core::experiments::{AutonumaTrace, Characterization, Comparison, ObjectAnalysis};
 use tiersim_core::journal::{
     atomic_write, run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalError,
     JournalStats, KillMode, KillSpec, RunnerOptions,
 };
-use tiersim_core::{CoreError, ExperimentConfig, RunError, TraceConfig, TraceLog};
+use tiersim_core::{
+    CoreError, Dataset, ExperimentConfig, Kernel, RunError, RunReport, TraceConfig, TraceLog,
+    WorkloadConfig,
+};
+use tiersim_policy::TieringMode;
 
 /// Parsed command-line options shared by all reproduction binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,47 +260,19 @@ impl TraceExports {
 /// failed and [`exit_code`](ExperimentSuite::exit_code) is nonzero if
 /// anything did. A journaled suite additionally carries degraded-mode
 /// cell accounting ([`set_cell_stats`](ExperimentSuite::set_cell_stats)).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExperimentSuite {
     output: String,
     attempted: usize,
     failures: Vec<(String, String)>,
-    jobs: usize,
     trace: Option<TraceExports>,
     cell_stats: Option<JournalStats>,
 }
 
-impl Default for ExperimentSuite {
-    fn default() -> Self {
-        ExperimentSuite {
-            output: String::new(),
-            attempted: 0,
-            failures: Vec::new(),
-            jobs: tiersim_core::sweep::default_jobs(),
-            trace: None,
-            cell_stats: None,
-        }
-    }
-}
-
 impl ExperimentSuite {
-    /// An empty suite with the default worker count.
+    /// An empty suite.
     pub fn new() -> ExperimentSuite {
         ExperimentSuite::default()
-    }
-
-    /// Returns a copy with `jobs` worker threads for the experiments it
-    /// hosts. The suite only carries the knob (experiments read it from
-    /// their `ExperimentConfig`); recorded output never depends on it.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Worker threads this suite was configured with.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Records one rendered section and returns the text to display.
@@ -314,44 +291,25 @@ impl ExperimentSuite {
         name: &str,
         f: impl FnOnce() -> Result<T, E>,
     ) -> Option<T> {
-        self.attempted += 1;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-            Ok(Ok(v)) => Some(v),
-            Ok(Err(e)) => {
-                self.failures.push((name.to_string(), e.to_string()));
-                None
-            }
+        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(r) => r.map_err(|e| e.to_string()),
             Err(payload) => {
-                let msg = tiersim_core::sweep::panic_message(payload.as_ref());
-                self.failures.push((name.to_string(), format!("panicked: {msg}")));
-                None
+                Err(format!("panicked: {}", tiersim_core::sweep::panic_message(payload.as_ref())))
             }
-        }
+        };
+        self.record(name, result)
     }
 
-    /// Counts one completed experiment that ran (or was replayed)
-    /// outside [`attempt`](ExperimentSuite::attempt) — the journaled
-    /// suite path.
-    pub fn note_completed(&mut self) {
+    /// Counts one experiment's result, run here or replayed from a
+    /// journal: its value on success, else `None` and a failure line.
+    fn record<T>(&mut self, name: &str, result: Result<T, String>) -> Option<T> {
         self.attempted += 1;
-    }
-
-    /// Records one failed experiment that ran outside
-    /// [`attempt`](ExperimentSuite::attempt) — a quarantined journal
-    /// cell.
-    pub fn note_quarantined(&mut self, name: &str, error: String) {
-        self.attempted += 1;
-        self.failures.push((name.to_string(), error));
+        result.map_err(|e| self.failures.push((name.to_string(), e))).ok()
     }
 
     /// Accumulated section text (what `--out` writes).
     pub fn output(&self) -> &str {
         &self.output
-    }
-
-    /// Records the trace exports of the suite's traced run.
-    pub fn set_trace_exports(&mut self, exports: TraceExports) {
-        self.trace = Some(exports);
     }
 
     /// The trace exports recorded by the suite's traced run, if any
@@ -410,26 +368,95 @@ pub fn banner(what: &str, cli: &Cli) {
     );
 }
 
-/// Rendered `(title, body)` pairs for one experiment's sections.
-type Sections = Vec<(String, String)>;
+/// One paper workload's AutoNUMA run, made on first use. Its outcome is
+/// kept, failure included.
+type RunSlot = OnceLock<Result<RunReport, CoreError>>;
 
-/// Runs the characterization experiment and renders Tables 1–3 and
-/// Figures 3–5.
-fn characterization_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let c = Characterization::run(experiment)?;
-    Ok(vec![
+/// The suite's six AutoNUMA paper runs, each made at most once and read
+/// by every cell that needs it (DESIGN.md §10). There is one slot per
+/// workload, so a failed run fails only the cells that read it. The
+/// reports live in the slots, which exist before any run is made.
+#[derive(Debug)]
+struct AutonumaRuns {
+    cfg: ExperimentConfig,
+    slots: Vec<(WorkloadConfig, RunSlot)>,
+}
+
+impl AutonumaRuns {
+    fn new(cfg: &ExperimentConfig) -> AutonumaRuns {
+        let slots = cfg.workloads().into_iter().map(|w| (w, OnceLock::new())).collect();
+        AutonumaRuns { cfg: *cfg, slots }
+    }
+
+    /// The report of `kernel` on `dataset`.
+    fn get(&self, kernel: Kernel, dataset: Dataset) -> Result<&RunReport, CoreError> {
+        let slot = self.slots.iter().find(|(w, _)| w.kernel == kernel && w.dataset == dataset);
+        let slot = slot.ok_or_else(|| CoreError::InvalidConfig {
+            what: "paper workload",
+            got: format!("{kernel:?} on {dataset:?}"),
+        })?;
+        self.report(slot)
+    }
+
+    /// All six reports in grid order, missing runs made on the sweep
+    /// executor; the first error in grid order wins.
+    fn all(&self) -> Result<Vec<&RunReport>, CoreError> {
+        let cells: Vec<_> = self.slots.iter().map(|slot| move || self.report(slot)).collect();
+        tiersim_core::sweep::run_cells(self.cfg.jobs, cells).into_iter().collect()
+    }
+
+    fn report<'a>(
+        &self,
+        (w, slot): &'a (WorkloadConfig, RunSlot),
+    ) -> Result<&'a RunReport, CoreError> {
+        let result = slot.get_or_init(|| self.cfg.run(*w, TieringMode::AutoNuma));
+        result.as_ref().map_err(Clone::clone)
+    }
+}
+
+/// What one suite cell produces: its rendered `(title, body)` sections
+/// and, for the traced cell, the trace exports.
+type CellOutput = (Vec<(String, String)>, Option<TraceExports>);
+
+/// One suite cell's body: an experiment rendered from the shared runs.
+type CellFn = fn(&AutonumaRuns) -> Result<CellOutput, CoreError>;
+
+/// The suite: the optional `--inject-failure` cell, then the four
+/// experiments. Both executors run exactly this list, and the names are
+/// the journal's cell names.
+fn suite_cells(inject_failure: bool) -> Vec<(&'static str, CellFn)> {
+    let mut cells: Vec<(&'static str, CellFn)> = Vec::new();
+    if inject_failure {
+        // Deliberate failure to exercise the continue-on-failure path:
+        // every later cell must still run and the exit code must be 1.
+        cells.push(("injected failure", |_| Err(injected_failure())));
+    }
+    cells.extend([
+        ("characterization", characterization_sections as CellFn),
+        ("object analysis", object_analysis_sections),
+        ("autonuma trace", autonuma_trace_sections),
+        ("comparison", comparison_sections),
+    ]);
+    cells
+}
+
+/// Tables 1–3 and Figures 3–5, over all six runs.
+fn characterization_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
+    let c = Characterization::from_reports(&runs.cfg, runs.all()?);
+    let sections = vec![
         ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
         ("Figure 4: page touch-count histogram".to_string(), c.render_fig4()),
         ("Figure 5: 2-touch reuse intervals (hottest NVM object)".to_string(), c.render_fig5()),
         ("Table 1: external access location".to_string(), c.render_table1()),
         ("Table 2: external latency cost split".to_string(), c.render_table2()),
         ("Table 3: external access cost by TLB outcome".to_string(), c.render_table3()),
-    ])
+    ];
+    Ok((sections, None))
 }
 
-/// Runs the object-level analysis and renders Figures 6–8.
-fn object_analysis_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let a = ObjectAnalysis::run(experiment)?;
+/// Figures 6–8, over the bc_kron run.
+fn object_analysis_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
+    let a = ObjectAnalysis::from_report(&runs.cfg, runs.get(Kernel::Bc, Dataset::Kron)?);
     let mut out = vec![(
         "Figure 6: top objects by external samples (bc_kron)".to_string(),
         a.render_fig6(10),
@@ -450,81 +477,58 @@ fn object_analysis_sections(experiment: &ExperimentConfig) -> Result<Sections, C
         );
         out.push(("Figure 8: hottest NVM object access pattern (bc_kron)".to_string(), body));
     }
-    Ok(out)
+    Ok((out, None))
 }
 
-/// Runs the traced AutoNUMA experiment and renders Figures 9–10, plus the
-/// recorded event log when tracing was enabled.
-fn autonuma_trace_sections(
-    experiment: &ExperimentConfig,
-) -> Result<(Sections, Option<TraceLog>), CoreError> {
-    let tr = AutonumaTrace::run(experiment)?;
+/// Figures 9–10 over the bc_kron run, plus its event-trace exports when
+/// tracing was enabled: it is the suite's traced run.
+fn autonuma_trace_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
+    let tr = AutonumaTrace::from_report(&runs.cfg, runs.get(Kernel::Bc, Dataset::Kron)?);
     let sections = vec![
         ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
         ("Figure 10: DRAM loads vs promotions (bc_kron)".to_string(), tr.render_fig10()),
     ];
-    // The bc_kron run is the suite's traced run: keep its event log so
-    // `--trace` can export it (empty unless tracing was enabled).
-    let log = (!tr.report.trace.is_empty()).then(|| tr.report.trace.clone());
-    Ok((sections, log))
+    let trace = (!tr.report.trace.is_empty()).then(|| TraceExports::from_log(&tr.report.trace));
+    Ok((sections, trace))
 }
 
-/// Runs the Figure 11 comparison.
-fn comparison_sections(experiment: &ExperimentConfig) -> Result<Sections, CoreError> {
-    let cmp = Comparison::run(experiment)?;
-    Ok(vec![("Figure 11: object-level static mapping vs AutoNUMA".to_string(), cmp.render())])
+/// Figure 11: the static object mapping planned from each of the six runs.
+fn comparison_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
+    let cmp = Comparison::from_reports(&runs.cfg, &runs.all()?)?;
+    let title = "Figure 11: object-level static mapping vs AutoNUMA".to_string();
+    Ok((vec![(title, cmp.render())], None))
+}
+
+/// Adds a completed cell's sections (printing each as it lands) and trace
+/// exports to `suite`: the assembly step both executors share.
+fn add_cell(suite: &mut ExperimentSuite, cell: Option<CellOutput>) {
+    let Some((sections, trace)) = cell else { return };
+    for (title, body) in &sections {
+        println!("{}", suite.section(title, body));
+    }
+    if trace.is_some() {
+        suite.trace = trace;
+    }
 }
 
 /// Runs the full `repro_all` experiment suite: every reproduction
-/// experiment, sharing the six characterization runs across Tables 1–3
-/// and Figures 3–5, isolated so one failure never kills the rest.
+/// experiment, each isolated so one failure never kills the rest. The
+/// six AutoNUMA runs are made once and shared: they feed Tables 1–3 and
+/// Figures 3–5, the bc_kron run feeds Figures 6–10, and all six plan
+/// Figure 11's static mappings.
 ///
 /// Sections print to stdout as they complete and accumulate in the
 /// returned suite ([`ExperimentSuite::output`]). The recorded bytes are
 /// identical for every `experiment.jobs` value — the byte-identity test
-/// in `tests/parallel_sweep.rs` holds this function to that contract.
+/// in `tests/parallel_sweep.rs` holds this function to that contract —
+/// and to [`run_suite_journaled`]'s.
 pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
-    let mut suite = ExperimentSuite::new().with_jobs(experiment.jobs);
-
-    if inject_failure {
-        // Deliberate failure to exercise the continue-on-failure path:
-        // everything below must still run and the exit code must be 1.
-        suite.attempt("injected failure", || Err::<(), _>(injected_failure()));
+    let runs = AutonumaRuns::new(experiment);
+    let mut suite = ExperimentSuite::new();
+    for (name, cell) in suite_cells(inject_failure) {
+        let out = suite.attempt(name, || cell(&runs));
+        add_cell(&mut suite, out);
     }
-
-    if let Some(sections) =
-        suite.attempt("characterization", || characterization_sections(experiment))
-    {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
-    if let Some(sections) =
-        suite.attempt("object analysis", || object_analysis_sections(experiment))
-    {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
-    if let Some((sections, log)) =
-        suite.attempt("autonuma trace", || autonuma_trace_sections(experiment))
-    {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-        if let Some(log) = log {
-            suite.set_trace_exports(TraceExports::from_log(&log));
-        }
-    }
-
-    if let Some(sections) = suite.attempt("comparison", || comparison_sections(experiment)) {
-        for (title, body) in &sections {
-            println!("{}", suite.section(title, body));
-        }
-    }
-
     suite
 }
 
@@ -544,19 +548,31 @@ const TRACE_JSONL_SECTION: &str = "\u{0}trace_jsonl";
 /// Reserved payload section carrying the traced run's CSV export.
 const TRACE_CSV_SECTION: &str = "\u{0}trace_csv";
 
-/// Serializes rendered sections into one journal payload string.
-fn encode_payload(sections: &[(String, String)]) -> String {
-    let parts: Vec<String> =
+/// Serializes a cell's output into one journal payload string: its
+/// sections, then any trace exports as two reserved sections.
+fn encode_payload((sections, trace): &CellOutput) -> String {
+    let mut parts: Vec<String> =
         sections.iter().map(|(title, body)| format!("{title}{PAYLOAD_US}{body}")).collect();
+    if let Some(t) = trace {
+        parts.push(format!("{TRACE_JSONL_SECTION}{PAYLOAD_US}{}", t.jsonl));
+        parts.push(format!("{TRACE_CSV_SECTION}{PAYLOAD_US}{}", t.csv));
+    }
     parts.join(&PAYLOAD_RS.to_string())
 }
 
-/// Splits a journal payload back into `(title, body)` sections.
-fn decode_payload(payload: &str) -> Vec<(&str, &str)> {
-    if payload.is_empty() {
-        return Vec::new();
+/// Splits a journal payload back into the cell's output.
+fn decode_payload(payload: &str) -> CellOutput {
+    let mut sections = Vec::new();
+    let (mut jsonl, mut csv) = (None, None);
+    for (title, body) in payload.split(PAYLOAD_RS).filter_map(|s| s.split_once(PAYLOAD_US)) {
+        match title {
+            TRACE_JSONL_SECTION => jsonl = Some(body.to_string()),
+            TRACE_CSV_SECTION => csv = Some(body.to_string()),
+            _ => sections.push((title.to_string(), body.to_string())),
+        }
     }
-    payload.split(PAYLOAD_RS).filter_map(|s| s.split_once(PAYLOAD_US)).collect()
+    let trace = jsonl.zip(csv).map(|(jsonl, csv)| TraceExports { jsonl, csv });
+    (sections, trace)
 }
 
 /// Maps an experiment error to its journal failure class: the stuck-cell
@@ -570,7 +586,7 @@ fn cell_error(e: CoreError) -> CellError {
     CellError { class, message: e.to_string() }
 }
 
-/// The journaled variant of [`run_repro_suite`]: every experiment is one
+/// The journaled variant of [`run_repro_suite`]: the same cells, each one
 /// durable cell in the write-ahead journal at `journal` (DESIGN.md §13).
 ///
 /// The journal is created if absent and replayed if present — completed
@@ -596,74 +612,32 @@ pub fn run_suite_journaled(
     opts: RunnerOptions,
     inject_failure: bool,
 ) -> Result<ExperimentSuite, JournalError> {
-    let exp = *experiment;
-    let mut cells: Vec<JournalCell> = Vec::new();
-    if inject_failure {
-        cells.push(JournalCell {
-            name: "injected failure".to_string(),
-            run: Box::new(move || Err(cell_error(injected_failure()))),
-        });
-    }
-    cells.push(JournalCell {
-        name: "characterization".to_string(),
-        run: Box::new(move || {
-            characterization_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-    cells.push(JournalCell {
-        name: "object analysis".to_string(),
-        run: Box::new(move || {
-            object_analysis_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-    cells.push(JournalCell {
-        name: "autonuma trace".to_string(),
-        run: Box::new(move || {
-            let (mut sections, log) = autonuma_trace_sections(&exp).map_err(cell_error)?;
-            if let Some(log) = log {
-                let exports = TraceExports::from_log(&log);
-                sections.push((TRACE_JSONL_SECTION.to_string(), exports.jsonl));
-                sections.push((TRACE_CSV_SECTION.to_string(), exports.csv));
+    let runs = Arc::new(AutonumaRuns::new(experiment));
+    let cells = suite_cells(inject_failure)
+        .into_iter()
+        .map(|(name, cell)| {
+            let runs = Arc::clone(&runs);
+            JournalCell {
+                name: name.to_string(),
+                run: Box::new(move || {
+                    cell(&runs).map(|out| encode_payload(&out)).map_err(cell_error)
+                }),
             }
-            Ok(encode_payload(&sections))
-        }),
-    });
-    cells.push(JournalCell {
-        name: "comparison".to_string(),
-        run: Box::new(move || {
-            comparison_sections(&exp).map(|s| encode_payload(&s)).map_err(cell_error)
-        }),
-    });
-
+        })
+        .collect();
     let outcome = run_journaled(journal, &experiment.fingerprint(), cells, opts)?;
 
-    let mut suite = ExperimentSuite::new().with_jobs(experiment.jobs);
-    let mut jsonl = None;
-    let mut csv = None;
+    let mut suite = ExperimentSuite::new();
     for (name, cell) in &outcome.cells {
-        match cell {
-            CellOutcome::Completed { payload, .. } => {
-                suite.note_completed();
-                for (title, body) in decode_payload(payload) {
-                    if title == TRACE_JSONL_SECTION {
-                        jsonl = Some(body.to_string());
-                    } else if title == TRACE_CSV_SECTION {
-                        csv = Some(body.to_string());
-                    } else {
-                        println!("{}", suite.section(title, body));
-                    }
-                }
-            }
+        let result = match cell {
+            CellOutcome::Completed { payload, .. } => Ok(decode_payload(payload)),
             // The attempt count is session-relative, so it stays out of
             // the byte-compared summary; the message itself is a pure
             // function of the cell.
-            CellOutcome::Quarantined { error, .. } => {
-                suite.note_quarantined(name, format!("quarantined: {error}"));
-            }
-        }
-    }
-    if let (Some(jsonl), Some(csv)) = (jsonl, csv) {
-        suite.set_trace_exports(TraceExports { jsonl, csv });
+            CellOutcome::Quarantined { error, .. } => Err(format!("quarantined: {error}")),
+        };
+        let out = suite.record(name, result);
+        add_cell(&mut suite, out);
     }
     suite.set_cell_stats(outcome.stats);
     Ok(suite)
@@ -760,13 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_carries_jobs_knob() {
-        assert_eq!(ExperimentSuite::new().jobs(), tiersim_core::sweep::default_jobs());
-        assert_eq!(ExperimentSuite::new().with_jobs(3).jobs(), 3);
-        assert_eq!(ExperimentSuite::new().with_jobs(0).jobs(), 1, "clamped to at least one worker");
-    }
-
-    #[test]
     fn suite_continues_past_failures_and_reports() {
         let mut suite = ExperimentSuite::new();
         let ok = suite.attempt("first", || Ok::<_, String>(41));
@@ -808,8 +775,11 @@ mod tests {
     fn summary_reports_degraded_mode_columns_when_journaled() {
         let mut suite = ExperimentSuite::new();
         assert!(!suite.summary().contains("cells:"), "no cell line without journal stats");
-        suite.note_completed();
-        suite.note_quarantined("stuck one", "quarantined: cell stuck".to_string());
+        assert_eq!(suite.record("fine one", Ok::<_, String>(7)), Some(7));
+        assert_eq!(
+            suite.record::<()>("stuck one", Err("quarantined: cell stuck".to_string())),
+            None
+        );
         suite.set_cell_stats(JournalStats {
             completed: 1,
             retried: 0,
@@ -825,19 +795,28 @@ mod tests {
     }
 
     #[test]
-    fn payload_codec_roundtrips_sections() {
+    fn payload_codec_roundtrips_cell_output() {
         let sections = vec![
             ("Table 1".to_string(), "a,b\n1,2\n".to_string()),
-            (TRACE_JSONL_SECTION.to_string(), "{\"t\":1}\n".to_string()),
             ("Figure 3".to_string(), "multi\nline body\n".to_string()),
         ];
-        let payload = encode_payload(&sections);
-        let decoded = decode_payload(&payload);
-        assert_eq!(decoded.len(), 3);
-        for ((t, b), (dt, db)) in sections.iter().zip(&decoded) {
-            assert_eq!((t.as_str(), b.as_str()), (*dt, *db));
+        let trace = TraceExports { jsonl: "{\"t\":1}\n".to_string(), csv: "t\n1\n".to_string() };
+        for out in [(sections.clone(), None), (sections, Some(trace))] {
+            assert_eq!(decode_payload(&encode_payload(&out)), out);
         }
-        assert!(decode_payload("").is_empty());
+        assert_eq!(decode_payload(""), (Vec::new(), None));
+    }
+
+    #[test]
+    fn autonuma_runs_make_each_run_once() {
+        let cfg =
+            ExperimentConfig { scale: 8, degree: 8, trials: 1, jobs: 2, ..Default::default() };
+        let runs = AutonumaRuns::new(&cfg);
+        let bc_kron = runs.get(Kernel::Bc, Dataset::Kron).unwrap();
+        let all = runs.all().unwrap();
+        assert_eq!(all.len(), 6);
+        assert!(std::ptr::eq(bc_kron, all[0]), "bc_kron is run once and shared");
+        assert!(runs.get(Kernel::Pr, Dataset::Kron).is_err(), "PR is not a paper workload");
     }
 
     #[test]

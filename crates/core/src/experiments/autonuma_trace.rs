@@ -6,6 +6,7 @@ use crate::render::TextTable;
 use crate::report::RunReport;
 use crate::timeline::TimelineOps;
 use crate::workload::{Dataset, Kernel};
+use std::ops::Deref;
 use tiersim_mem::{MemLevel, Tier};
 use tiersim_policy::TieringMode;
 use tiersim_profile::binned_counts;
@@ -48,11 +49,12 @@ pub struct Fig10Row {
 }
 
 /// The AutoNUMA trace bundle: one run of `bc_kron` (the paper's example)
-/// with its timeline-derived figures.
+/// with its timeline-derived figures. It owns its report, or borrows a
+/// shared one (`R = &RunReport`).
 #[derive(Debug)]
-pub struct AutonumaTrace {
+pub struct AutonumaTrace<R = Box<RunReport>> {
     /// The underlying run.
-    pub report: RunReport,
+    pub report: R,
     freq_hz: u64,
 }
 
@@ -63,10 +65,15 @@ impl AutonumaTrace {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<AutonumaTrace, CoreError> {
-        let w = cfg.workload(Kernel::Bc, Dataset::Kron);
-        let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-        let freq_hz = mc.mem.freq_hz;
-        Ok(AutonumaTrace { report: crate::runner::run_workload(mc, w)?, freq_hz })
+        let report = cfg.run(cfg.workload(Kernel::Bc, Dataset::Kron), TieringMode::AutoNuma)?;
+        Ok(AutonumaTrace::from_report(cfg, Box::new(report)))
+    }
+}
+
+impl<R: Deref<Target = RunReport>> AutonumaTrace<R> {
+    /// The view over one AutoNUMA report of `cfg`.
+    pub fn from_report(cfg: &ExperimentConfig, report: R) -> AutonumaTrace<R> {
+        AutonumaTrace { report, freq_hz: cfg.machine(TieringMode::AutoNuma).mem.freq_hz }
     }
 
     /// Figure 9 rows, one per timeline snapshot.

@@ -5,6 +5,7 @@ use super::ExperimentConfig;
 use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
+use std::ops::Deref;
 use tiersim_mem::Tier;
 use tiersim_policy::TieringMode;
 use tiersim_profile::{two_touch_reuse, LevelDistribution, Summary, TouchHistogram};
@@ -91,11 +92,12 @@ pub struct Table3Row {
 }
 
 /// The characterization bundle: six AutoNUMA runs and every table/figure
-/// derived from them.
+/// derived from them. It owns its reports, or borrows shared ones
+/// (`R = &RunReport`).
 #[derive(Debug)]
-pub struct Characterization {
+pub struct Characterization<R = Box<RunReport>> {
     /// One report per paper workload, in grid order.
-    pub reports: Vec<RunReport>,
+    pub reports: Vec<R>,
     freq_hz: u64,
 }
 
@@ -106,27 +108,24 @@ impl Characterization {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Characterization, CoreError> {
-        let freq_hz = cfg.machine(TieringMode::AutoNuma).mem.freq_hz;
         // Each workload is an independent deterministic cell; run them on
         // the sweep executor. Results come back in grid order, so error
         // propagation picks the same (first) failure a serial loop would.
         let cells: Vec<_> = cfg
             .workloads()
             .into_iter()
-            .map(|w| {
-                let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-                move || crate::runner::run_workload(mc, w)
-            })
+            .map(|w| move || cfg.run(w, TieringMode::AutoNuma).map(Box::new))
             .collect();
         let reports =
-            crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(Characterization { reports, freq_hz })
+            crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<_, _>>()?;
+        Ok(Self::from_reports(cfg, reports))
     }
+}
 
-    /// Builds from pre-computed reports (used by the `all` harness to
-    /// share runs across experiments).
-    pub fn from_reports(reports: Vec<RunReport>, freq_hz: u64) -> Characterization {
-        Characterization { reports, freq_hz }
+impl<R: Deref<Target = RunReport>> Characterization<R> {
+    /// The view over the six AutoNUMA reports of `cfg`, in grid order.
+    pub fn from_reports(cfg: &ExperimentConfig, reports: Vec<R>) -> Characterization<R> {
+        Characterization { reports, freq_hz: cfg.machine(TieringMode::AutoNuma).mem.freq_hz }
     }
 
     /// Figure 3 rows.

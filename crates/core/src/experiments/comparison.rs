@@ -1,10 +1,12 @@
 //! Object-level static mapping vs AutoNUMA (paper §7: Figure 11).
 
-use super::ExperimentConfig;
+use super::{Characterization, ExperimentConfig};
 use crate::error::CoreError;
 use crate::render::{pct, secs, TextTable};
+use crate::report::RunReport;
 use crate::runner::{plan_from_report, run_workload};
-use crate::workload::{Kernel, WorkloadConfig};
+use crate::workload::Kernel;
+use std::ops::Deref;
 use tiersim_policy::TieringMode;
 
 /// One bar of Figure 11.
@@ -64,42 +66,48 @@ impl Comparison {
     ///
     /// Propagates the first run error.
     pub fn run(cfg: &ExperimentConfig) -> Result<Comparison, CoreError> {
-        // Expand the workload grid into (workload, spill) cells up front
-        // so the sweep executor can run each AutoNUMA/static pair
-        // concurrently; row order (and first-error choice) matches the
-        // old serial loop exactly.
-        let mut specs = Vec::new();
-        for w in cfg.workloads() {
-            specs.push((w, false));
-            if w.kernel == Kernel::Cc {
-                specs.push((w, true));
-            }
-        }
-        let cells: Vec<_> = specs
-            .into_iter()
-            .map(|(w, spill)| {
-                let cfg = *cfg;
-                move || Self::compare(&cfg, w, spill)
+        Self::from_reports(cfg, &Characterization::run(cfg)?.reports)
+    }
+
+    /// The comparison over the six AutoNUMA reports of `cfg`: each row
+    /// runs only its static mapping, and the CC workloads add a spill row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first static run error in row order.
+    pub fn from_reports<R: Deref<Target = RunReport> + Sync>(
+        cfg: &ExperimentConfig,
+        reports: &[R],
+    ) -> Result<Comparison, CoreError> {
+        // The sweep executor returns rows in order, so the first error is
+        // the one a serial loop would hit.
+        let cells: Vec<_> = reports
+            .iter()
+            .flat_map(|auto| {
+                let spill_row = (auto.workload.kernel == Kernel::Cc).then_some((auto, true));
+                [(auto, false)].into_iter().chain(spill_row)
             })
+            .map(|(auto, spill)| move || Self::compare(cfg, auto, spill))
             .collect();
         let rows =
             crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(Comparison { rows })
     }
 
-    /// Runs one workload pair (AutoNUMA + static) and builds its row.
+    /// Runs the static mapping planned from one AutoNUMA report and builds
+    /// its row.
     ///
     /// # Errors
     ///
     /// Propagates run errors.
     pub fn compare(
         cfg: &ExperimentConfig,
-        workload: WorkloadConfig,
+        auto: &RunReport,
         spill: bool,
     ) -> Result<Fig11Row, CoreError> {
-        let base = cfg.machine_for(&workload, TieringMode::AutoNuma);
-        let auto = run_workload(base.clone(), workload)?;
-        let plan = plan_from_report(&auto, &base, spill);
+        let workload = auto.workload;
+        let base = cfg.machine(TieringMode::AutoNuma);
+        let plan = plan_from_report(auto, &base, spill);
         let mut static_cfg = base;
         static_cfg.mode = TieringMode::StaticObject(plan);
         let stat = run_workload(static_cfg, workload)?;
@@ -175,8 +183,9 @@ mod tests {
     #[test]
     fn single_pair_comparison_runs() {
         let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-        let row = Comparison::compare(&cfg, w, false).unwrap();
+        let auto =
+            cfg.run(cfg.workload(Kernel::Bfs, Dataset::Kron), TieringMode::AutoNuma).unwrap();
+        let row = Comparison::compare(&cfg, &auto, false).unwrap();
         assert!(row.autonuma_secs > 0.0);
         assert!(row.static_secs > 0.0);
         assert!(!row.spill);
@@ -186,8 +195,9 @@ mod tests {
     #[test]
     fn spill_row_is_labeled_with_asterisk() {
         let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Cc, Dataset::Urand);
-        let row = Comparison::compare(&cfg, w, true).unwrap();
+        let auto =
+            cfg.run(cfg.workload(Kernel::Cc, Dataset::Urand), TieringMode::AutoNuma).unwrap();
+        let row = Comparison::compare(&cfg, &auto, true).unwrap();
         assert_eq!(row.workload, "cc_urand*");
         assert!(row.spill);
     }

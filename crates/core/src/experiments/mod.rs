@@ -1,8 +1,8 @@
 //! Paper-reproduction experiments: one module per figure/table family.
 //!
-//! Each experiment runs scaled-down versions of the paper's six workloads
-//! (BC/BFS/CC × kron/urand) and derives the corresponding table or figure
-//! series. The `tiersim-bench` crate exposes one binary per experiment.
+//! Each experiment is a view over scaled-down AutoNUMA runs of the paper's
+//! six workloads (BC/BFS/CC × kron/urand), so experiments can share runs;
+//! each `run` makes its own. `tiersim-bench` has one binary each.
 
 mod autonuma_trace;
 mod characterization;
@@ -141,20 +141,13 @@ impl ExperimentConfig {
         )
     }
 
-    /// The machine configuration for a workload under `mode`. The machine
-    /// is the same for every workload (see [`ExperimentConfig::machine`]);
-    /// the parameter only keeps call sites self-documenting.
-    pub fn machine_for(&self, _workload: &WorkloadConfig, mode: TieringMode) -> MachineConfig {
-        self.machine(mode)
-    }
-
     /// Runs one workload under `mode`.
     ///
     /// # Errors
     ///
     /// Propagates configuration/OOM errors from the runner.
     pub fn run(&self, workload: WorkloadConfig, mode: TieringMode) -> Result<RunReport, CoreError> {
-        run_workload(self.machine_for(&workload, mode), workload)
+        run_workload(self.machine(mode), workload)
     }
 }
 
@@ -202,9 +195,27 @@ mod tests {
     #[test]
     fn machine_inherits_sample_period() {
         let cfg = tiny_config();
-        let w = cfg.workload(Kernel::Bfs, Dataset::Kron);
-        let m = cfg.machine_for(&w, TieringMode::AutoNuma);
+        let m = cfg.machine(TieringMode::AutoNuma);
         assert_eq!(m.sample_period, 97);
+    }
+
+    #[test]
+    fn views_over_characterization_reports_match_standalone_runs() {
+        let cfg = tiny_config();
+        let c = Characterization::run(&cfg).unwrap();
+        let bc_kron = c
+            .reports
+            .iter()
+            .find(|r| r.workload.kernel == Kernel::Bc && r.workload.dataset == Dataset::Kron)
+            .unwrap();
+        let rows = Comparison::from_reports(&cfg, &c.reports).unwrap().rows;
+        assert_eq!(rows, Comparison::run(&cfg).unwrap().rows);
+        let objects = ObjectAnalysis::from_report(&cfg, &**bc_kron);
+        assert_eq!(objects.render_fig6(10), ObjectAnalysis::run(&cfg).unwrap().render_fig6(10));
+        let trace = AutonumaTrace::from_report(&cfg, &**bc_kron);
+        let alone = AutonumaTrace::run(&cfg).unwrap();
+        assert_eq!(trace.render_fig9(), alone.render_fig9());
+        assert_eq!(trace.render_fig10(), alone.render_fig10());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::CoreError;
 use crate::render::{pct, TextTable};
 use crate::report::RunReport;
 use crate::workload::{Dataset, Kernel};
+use std::ops::Deref;
 use tiersim_mem::Tier;
 use tiersim_policy::TieringMode;
 use tiersim_profile::{top_objects, AccessPattern, AllocTimeline};
@@ -26,11 +27,11 @@ pub struct Fig6Row {
 
 /// The object analysis bundle: one AutoNUMA run of a single workload
 /// (`bc_kron` by default, as in the paper) and Figures 6–8 derived from
-/// it.
+/// it. It owns its report, or borrows a shared one (`R = &RunReport`).
 #[derive(Debug)]
-pub struct ObjectAnalysis {
+pub struct ObjectAnalysis<R = Box<RunReport>> {
     /// The underlying run.
-    pub report: RunReport,
+    pub report: R,
     freq_hz: u64,
 }
 
@@ -54,10 +55,15 @@ impl ObjectAnalysis {
         kernel: Kernel,
         dataset: Dataset,
     ) -> Result<ObjectAnalysis, CoreError> {
-        let w = cfg.workload(kernel, dataset);
-        let mc = cfg.machine_for(&w, TieringMode::AutoNuma);
-        let freq_hz = mc.mem.freq_hz;
-        Ok(ObjectAnalysis { report: crate::runner::run_workload(mc, w)?, freq_hz })
+        let report = cfg.run(cfg.workload(kernel, dataset), TieringMode::AutoNuma)?;
+        Ok(ObjectAnalysis::from_report(cfg, Box::new(report)))
+    }
+}
+
+impl<R: Deref<Target = RunReport>> ObjectAnalysis<R> {
+    /// The view over one AutoNUMA report of `cfg`.
+    pub fn from_report(cfg: &ExperimentConfig, report: R) -> ObjectAnalysis<R> {
+        ObjectAnalysis { report, freq_hz: cfg.machine(TieringMode::AutoNuma).mem.freq_hz }
     }
 
     /// Figure 6 rows: top `n` objects by samples on `tier`.

@@ -5,6 +5,9 @@
 //!   completed cells re-executed (the kill-point property test);
 //! - the full `repro_all` suite honors the same contract end to end,
 //!   including the `--trace` exports replayed from the journal;
+//! - the plain suite driver and the journaled one run the same cells:
+//!   on a fresh journal they record the same bytes, and a failing
+//!   workload fails only the experiments that read it through either;
 //! - a sweep containing a panicking cell and a stuck cell (the
 //!   deterministic tick-budget watchdog) completes with both quarantined
 //!   in the degraded-mode summary.
@@ -14,9 +17,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tiersim::core::{run_workload, CoreError, ExperimentConfig, RunError, TraceConfig};
+use tiersim::core::{
+    run_workload, CoreError, Dataset, ExperimentConfig, Kernel, RunError, TraceConfig,
+};
 use tiersim::policy::TieringMode;
-use tiersim_bench::run_suite_journaled;
+use tiersim_bench::{run_repro_suite, run_suite_journaled, ExperimentSuite};
 use tiersim_core::journal::{
     run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome, KillMode,
     KillSpec, RunnerOptions,
@@ -208,6 +213,78 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
     let _ = std::fs::remove_file(&clean_path);
 }
 
+/// The plain and `--resume` drivers are one cell list under two
+/// executors: on a fresh journal they record the same sections, trace
+/// exports and completion line.
+#[test]
+fn plain_and_journaled_suites_agree() {
+    let plain = run_repro_suite(&suite_config(2), false);
+    let path = scratch("suite-agree");
+    let journaled = run_suite_journaled(&suite_config(2), &path, RunnerOptions::default(), false)
+        .expect("journaled suite");
+    assert_eq!(plain.output(), journaled.output(), "drivers recorded different sections");
+    assert!(plain.trace_exports().is_some(), "traced suite records exports");
+    assert_eq!(plain.trace_exports(), journaled.trace_exports(), "trace exports diverged");
+    let first_line = |s: &ExperimentSuite| s.summary().lines().next().map(str::to_string);
+    assert_eq!(first_line(&plain).as_deref(), Some("== 4/4 experiments completed =="));
+    assert_eq!(first_line(&plain), first_line(&journaled));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A failing workload fails only the experiments that read it. At this
+/// configuration every kron run finishes within one OS tick and every
+/// urand run takes more, so under a one-tick budget the bc_kron views
+/// (object analysis, AutoNUMA trace) complete while the characterization
+/// and the comparison, which read all six runs, fail with bc_urand's
+/// error: the first urand run in grid order.
+#[test]
+fn failing_workload_fails_only_the_experiments_that_read_it() {
+    let unbudgeted = ExperimentConfig {
+        scale: 11,
+        degree: 8,
+        trials: 1,
+        sample_period: 211,
+        jobs: 2,
+        trace: TraceConfig::off(),
+        tick_budget: 0,
+        thp: false,
+    };
+    for w in unbudgeted.workloads() {
+        let ticks = unbudgeted.run(w, TieringMode::AutoNuma).expect("unbudgeted run").os_ticks;
+        if w.dataset == Dataset::Kron {
+            assert!(ticks <= 1, "{} took {ticks} OS ticks, expected at most 1", w.name());
+        } else {
+            assert!(ticks > 1, "{} took {ticks} OS ticks, expected more than 1", w.name());
+        }
+    }
+    let cfg = ExperimentConfig { tick_budget: 1, ..unbudgeted };
+    let stuck = cfg
+        .run(cfg.workload(Kernel::Bc, Dataset::Urand), TieringMode::AutoNuma)
+        .expect_err("bc_urand exceeds a one-tick budget")
+        .to_string();
+
+    let path = scratch("isolation");
+    let plain = run_repro_suite(&cfg, false);
+    let journaled =
+        run_suite_journaled(&cfg, &path, RunnerOptions::default(), false).expect("journaled suite");
+    for (suite, prefix) in [(&plain, ""), (&journaled, "quarantined: ")] {
+        let summary = suite.summary();
+        assert!(summary.starts_with("== 2/4 experiments completed ==\n"), "{summary}");
+        let expected = format!("{prefix}{stuck}");
+        let failures: Vec<(&str, &str)> =
+            suite.failures().iter().map(|(name, e)| (name.as_str(), e.as_str())).collect();
+        assert_eq!(
+            failures,
+            [("characterization", expected.as_str()), ("comparison", expected.as_str())]
+        );
+        for title in ["Figure 6:", "Figure 7:", "Figure 9:", "Figure 10:"] {
+            assert!(suite.output().contains(title), "{title} missing from:\n{}", suite.output());
+        }
+    }
+    assert_eq!(plain.output(), journaled.output());
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The degraded-mode acceptance check: a sweep containing a panicking
 /// cell and a stuck cell (tripping the deterministic tick-budget
 /// watchdog inside a real `run_workload`) completes, quarantines both
@@ -238,7 +315,7 @@ fn panicking_and_stuck_cells_quarantine_in_degraded_summary() {
                     thp: false,
                 };
                 let w = exp.workloads().into_iter().next().expect("workload");
-                let mut mc = exp.machine_for(&w, TieringMode::AutoNuma);
+                let mut mc = exp.machine(TieringMode::AutoNuma);
                 mc.os.kswapd_period_cycles = 1_000;
                 match run_workload(mc, w) {
                     Err(e @ CoreError::Run(RunError::Stuck { .. })) => {
