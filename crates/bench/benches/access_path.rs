@@ -16,13 +16,11 @@ use tiersim_os::{AutoNuma, OsConfig};
 use tiersim_policy::TieringMode;
 
 fn sys_with_resident(pages: u64, tier: Tier) -> (MemorySystem, VirtAddr) {
-    let mut sys = MemorySystem::new(
-        MemConfig::builder()
-            .dram_capacity((pages + 16) * PAGE_SIZE)
-            .nvm_capacity(4 * (pages + 16) * PAGE_SIZE)
-            .build()
-            .unwrap(),
-    )
+    let mut sys = MemorySystem::new(MemConfig {
+        dram_capacity: (pages + 16) * PAGE_SIZE,
+        nvm_capacity: 4 * (pages + 16) * PAGE_SIZE,
+        ..MemConfig::default()
+    })
     .unwrap();
     let a = sys.mmap(pages * PAGE_SIZE, MemPolicy::Default, "bench").unwrap();
     for i in 0..pages {
@@ -185,13 +183,11 @@ const STREAM_PAGES: u64 = STREAM_ELEMS * 8 / PAGE_SIZE;
 /// would. `fault_around_pages = 1` is the pure demand-paged kernel
 /// default shape; larger windows bulk-populate ahead of the stream.
 fn demand_system(fault_around_pages: u64) -> (MemorySystem, AutoNuma, VirtAddr) {
-    let mut sys = MemorySystem::new(
-        MemConfig::builder()
-            .dram_capacity((STREAM_PAGES + 64) * PAGE_SIZE)
-            .nvm_capacity(4 * (STREAM_PAGES + 64) * PAGE_SIZE)
-            .build()
-            .unwrap(),
-    )
+    let mut sys = MemorySystem::new(MemConfig {
+        dram_capacity: (STREAM_PAGES + 64) * PAGE_SIZE,
+        nvm_capacity: 4 * (STREAM_PAGES + 64) * PAGE_SIZE,
+        ..MemConfig::default()
+    })
     .unwrap();
     let a = sys.mmap(STREAM_PAGES * PAGE_SIZE, MemPolicy::Default, "bench").unwrap();
     let cfg = OsConfig { autonuma_enabled: false, fault_around_pages, ..Default::default() };

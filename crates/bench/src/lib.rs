@@ -82,6 +82,41 @@ pub struct Cli {
     pub max_attempts: u64,
 }
 
+/// Parses `flag` into `experiment` when it is one of the testbed flags
+/// every command line shares (`--scale`, `--degree`, `--trials`,
+/// `--jobs`), taking its value from `value`. Returns whether it was one.
+pub(crate) fn parse_experiment_flag(
+    experiment: &mut ExperimentConfig,
+    flag: &str,
+    value: impl FnOnce(&str) -> Result<String, String>,
+) -> Result<bool, String> {
+    fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        text.parse().map_err(|e| format!("bad {flag}: {e}"))
+    }
+    match flag {
+        "--scale" => experiment.scale = number(flag, value(flag)?)?,
+        "--degree" => experiment.degree = number(flag, value(flag)?)?,
+        "--trials" => experiment.trials = number(flag, value(flag)?)?,
+        "--jobs" => experiment.jobs = number(flag, value(flag)?)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// Range checks for the flags [`parse_experiment_flag`] reads.
+pub(crate) fn check_experiment(experiment: &ExperimentConfig) -> Result<(), String> {
+    if experiment.scale < 4 || experiment.scale > 28 {
+        return Err("--scale must be in 4..=28".to_string());
+    }
+    if experiment.jobs == 0 {
+        return Err("--jobs must be at least 1".to_string());
+    }
+    Ok(())
+}
+
 impl Cli {
     /// Parses `args` (without the program name).
     ///
@@ -103,22 +138,6 @@ impl Cli {
             let mut value =
                 |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
             match arg.as_str() {
-                "--scale" => {
-                    cli.experiment.scale =
-                        value("--scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                }
-                "--degree" => {
-                    cli.experiment.degree =
-                        value("--degree")?.parse().map_err(|e| format!("bad --degree: {e}"))?;
-                }
-                "--trials" => {
-                    cli.experiment.trials =
-                        value("--trials")?.parse().map_err(|e| format!("bad --trials: {e}"))?;
-                }
-                "--jobs" => {
-                    cli.experiment.jobs =
-                        value("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-                }
                 "--tick-budget" => {
                     cli.experiment.tick_budget = value("--tick-budget")?
                         .parse()
@@ -143,15 +162,14 @@ impl Cli {
                         .map_err(|e| format!("bad --max-attempts: {e}"))?;
                 }
                 "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown argument: {other}\n{USAGE}")),
+                other => {
+                    if !parse_experiment_flag(&mut cli.experiment, other, value)? {
+                        return Err(format!("unknown argument: {other}\n{USAGE}"));
+                    }
+                }
             }
         }
-        if cli.experiment.scale < 4 || cli.experiment.scale > 28 {
-            return Err("--scale must be in 4..=28".to_string());
-        }
-        if cli.experiment.jobs == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
+        check_experiment(&cli.experiment)?;
         if cli.max_attempts == 0 {
             return Err("--max-attempts must be at least 1".to_string());
         }

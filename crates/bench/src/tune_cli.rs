@@ -12,7 +12,7 @@ use tiersim_core::journal::{KillMode, KillSpec, RunnerOptions};
 use tiersim_core::tune::{run_tune, GridSpec, TuneConfig};
 use tiersim_core::{Dataset, ExperimentConfig, Kernel};
 
-use crate::TraceExports;
+use crate::{check_experiment, parse_experiment_flag, TraceExports};
 
 /// Usage text for `repro_all tune`.
 pub const TUNE_USAGE: &str = "usage: repro_all tune [--workload NAME] [--grid tiny|paper] \
@@ -124,22 +124,6 @@ impl TuneCli {
                 "--seed" => {
                     cli.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?;
                 }
-                "--scale" => {
-                    cli.experiment.scale =
-                        value("--scale")?.parse().map_err(|e| format!("bad --scale: {e}"))?;
-                }
-                "--degree" => {
-                    cli.experiment.degree =
-                        value("--degree")?.parse().map_err(|e| format!("bad --degree: {e}"))?;
-                }
-                "--trials" => {
-                    cli.experiment.trials =
-                        value("--trials")?.parse().map_err(|e| format!("bad --trials: {e}"))?;
-                }
-                "--jobs" => {
-                    cli.experiment.jobs =
-                        value("--jobs")?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-                }
                 "--resume" => cli.journal = PathBuf::from(value("--resume")?),
                 "--kill-at" => {
                     cli.kill_at = Some(
@@ -150,15 +134,14 @@ impl TuneCli {
                 "--out-csv" => cli.out_csv = Some(PathBuf::from(value("--out-csv")?)),
                 "--trace" => cli.trace_out = Some(PathBuf::from(value("--trace")?)),
                 "--help" | "-h" => return Err(TUNE_USAGE.to_string()),
-                other => return Err(format!("unknown argument: {other}\n{TUNE_USAGE}")),
+                other => {
+                    if !parse_experiment_flag(&mut cli.experiment, other, value)? {
+                        return Err(format!("unknown argument: {other}\n{TUNE_USAGE}"));
+                    }
+                }
             }
         }
-        if cli.experiment.scale < 4 || cli.experiment.scale > 28 {
-            return Err("--scale must be in 4..=28".to_string());
-        }
-        if cli.experiment.jobs == 0 {
-            return Err("--jobs must be at least 1".to_string());
-        }
+        check_experiment(&cli.experiment)?;
         if cli.rung_budget == 0 {
             return Err("--rung-budget must be at least 1".to_string());
         }

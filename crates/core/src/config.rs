@@ -2,14 +2,9 @@
 //! for one run.
 
 use crate::error::CoreError;
-use tiersim_mem::{CacheGeometry, FaultPlan, MemConfig, TlbGeometry, TraceConfig};
+use tiersim_mem::{CacheGeometry, MemConfig, TlbGeometry};
 use tiersim_os::OsConfig;
 use tiersim_policy::TieringMode;
-
-/// The machine-level name for the fault-injection plan: the plan lives
-/// in [`MemConfig::fault`] (the memory system owns the injector), and
-/// [`MachineConfig::with_fault`] threads it through.
-pub type FaultConfig = FaultPlan;
 
 /// Full platform configuration for a run: hardware model, OS model,
 /// tiering mode, thread count and profiling parameters.
@@ -38,11 +33,6 @@ pub struct MachineConfig {
     pub timeline_period_cycles: u64,
     /// Fraction of DRAM the static-object planner may commit.
     pub plan_dram_headroom: f64,
-    /// Host worker threads available to sweeps that run many copies of
-    /// this machine concurrently (see `crate::sweep`). One machine is
-    /// always a single simulation thread: this knob never affects
-    /// simulated behavior or output bytes, only wall-clock time.
-    pub jobs: usize,
     /// Stuck-cell watchdog: abort the run (as a typed
     /// [`crate::RunError::Stuck`] failure) once the machine has taken more
     /// than this many OS engine ticks. `0` disables the watchdog. Ticks
@@ -70,17 +60,16 @@ impl MachineConfig {
         let page = tiersim_mem::PAGE_SIZE;
         let dram = ((footprint_bytes as f64 * 1.10) as u64 / page).max(64) * page;
         let nvm = dram * 8;
-        let mem = MemConfig::builder()
-            .dram_capacity(dram)
-            .nvm_capacity(nvm)
-            .l1(CacheGeometry { capacity: 16 << 10, ways: 8, latency: 4 })
-            .l2(CacheGeometry { capacity: 64 << 10, ways: 8, latency: 14 })
-            .l3(CacheGeometry { capacity: 256 << 10, ways: 8, latency: 44 })
-            .dtlb(TlbGeometry { entries: 16, ways: 4 })
-            .stlb(TlbGeometry { entries: 64, ways: 8 })
-            .build()
-            // tiersim-lint: allow(unwrap) — the geometry above is constant and valid by construction.
-            .expect("scaled defaults are valid");
+        let mem = MemConfig {
+            dram_capacity: dram,
+            nvm_capacity: nvm,
+            l1: CacheGeometry { capacity: 16 << 10, ways: 8, latency: 4 },
+            l2: CacheGeometry { capacity: 64 << 10, ways: 8, latency: 14 },
+            l3: CacheGeometry { capacity: 256 << 10, ways: 8, latency: 44 },
+            dtlb: TlbGeometry { entries: 16, ways: 4 },
+            stlb: TlbGeometry { entries: 64, ways: 8 },
+            ..MemConfig::default()
+        };
         // Dilation 5000: one "paper second" of OS behavior happens every
         // 0.2 ms of simulated time, so a ~0.5 s simulated run covers
         // ~2500 scan periods, comparable to a ~40 min real run.
@@ -108,59 +97,8 @@ impl MachineConfig {
             cpu_cycles_per_op: 2,
             timeline_period_cycles,
             plan_dram_headroom: 0.92,
-            jobs: 1,
             tick_budget: 0,
         }
-    }
-
-    /// Returns a copy with `jobs` host worker threads for sweeps.
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Returns a copy with the stuck-cell watchdog armed at `ticks` OS
-    /// engine ticks (`0` disables).
-    #[must_use]
-    pub fn with_tick_budget(mut self, ticks: u64) -> Self {
-        self.tick_budget = ticks;
-        self
-    }
-
-    /// Returns a copy with `fault` as the fault-injection plan.
-    #[must_use]
-    pub fn with_fault(mut self, fault: FaultConfig) -> Self {
-        self.mem.fault = fault;
-        self
-    }
-
-    /// The fault-injection plan this machine runs with.
-    pub fn fault(&self) -> &FaultConfig {
-        &self.mem.fault
-    }
-
-    /// Returns a copy with `trace` as the event-trace settings. Like the
-    /// fault plan, the recorder lives in [`MemConfig`] because the memory
-    /// system owns it.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.mem.trace = trace;
-        self
-    }
-
-    /// The event-trace settings this machine runs with.
-    pub fn trace(&self) -> TraceConfig {
-        self.mem.trace
-    }
-
-    /// Returns a copy with tiersim-audit checkpoints every `ticks` OS
-    /// engine ticks (`0` disables; the periodic `debug_assert!` fires in
-    /// debug builds only). See `OsConfig::audit_every_ticks`.
-    #[must_use]
-    pub fn with_audit(mut self, ticks: u64) -> Self {
-        self.os.audit_every_ticks = ticks;
-        self
     }
 
     /// Validates the configuration.
@@ -173,9 +111,6 @@ impl MachineConfig {
         self.os.validate()?;
         if self.threads == 0 {
             return Err(CoreError::InvalidConfig { what: "threads", got: "0".to_string() });
-        }
-        if self.jobs == 0 {
-            return Err(CoreError::InvalidConfig { what: "jobs", got: "0".to_string() });
         }
         if self.sample_period == 0 {
             return Err(CoreError::InvalidConfig { what: "sample period", got: "0".to_string() });
@@ -223,15 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_zero_jobs() {
-        let cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma).with_jobs(0);
-        assert!(matches!(cfg.validate(), Err(CoreError::InvalidConfig { what: "jobs", .. })));
-        let cfg = cfg.with_jobs(8);
-        cfg.validate().unwrap();
-        assert_eq!(cfg.jobs, 8);
-    }
-
-    #[test]
     fn validation_catches_frequency_mismatch() {
         let mut cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma);
         cfg.os.freq_hz = 123;
@@ -243,19 +169,5 @@ mod tests {
         let small = MachineConfig::scaled_default(8 << 20, TieringMode::AutoNuma);
         let large = MachineConfig::scaled_default(128 << 20, TieringMode::AutoNuma);
         assert!(large.os.scan_size_pages > small.os.scan_size_pages);
-    }
-
-    #[test]
-    fn with_fault_threads_plan_to_memory_config() {
-        use tiersim_mem::RATE_ONE;
-        let plan =
-            FaultConfig { seed: 11, migrate_busy_per_64k: RATE_ONE / 8, ..FaultConfig::none() };
-        let cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma).with_fault(plan);
-        cfg.validate().unwrap();
-        assert_eq!(*cfg.fault(), plan);
-        assert_eq!(cfg.mem.fault, plan);
-        // Default machines carry the empty plan.
-        let plain = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma);
-        assert!(plain.fault().is_none());
     }
 }

@@ -44,7 +44,7 @@ mod timeline;
 pub mod tune;
 mod workload;
 
-pub use config::{FaultConfig, MachineConfig};
+pub use config::MachineConfig;
 pub use error::{CoreError, RunError};
 pub use experiments::ExperimentConfig;
 pub use machine::Machine;

@@ -560,6 +560,29 @@ mod tests {
     }
 
     #[test]
+    fn new_rejects_invalid_fields_naming_the_parameter() {
+        use tiersim_mem::{CacheGeometry, MemError};
+        use tiersim_os::OsError;
+        let base = MachineConfig::scaled_default(4 << 20, TieringMode::AutoNuma);
+        let mut cfg = base.clone();
+        cfg.os.wmark_min_frac = cfg.os.wmark_low_frac * 2.0;
+        let err = Machine::new(cfg).expect_err("min watermark above low is rejected");
+        assert!(
+            matches!(err, CoreError::Os(OsError::InvalidConfig { what: "watermarks", .. })),
+            "{err}"
+        );
+        let mut cfg = base;
+        // 3 sets of 8 ways: the set count is not a power of two.
+        cfg.mem.l1 =
+            CacheGeometry { capacity: 3 * 8 * tiersim_mem::LINE_SIZE, ways: 8, latency: 4 };
+        let err = Machine::new(cfg).expect_err("non-power-of-two L1 set count is rejected");
+        assert!(
+            matches!(err, CoreError::Mem(MemError::InvalidConfig { what: "l1 geometry", .. })),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn clock_advances_with_work() {
         let mut m = machine(TieringMode::AutoNuma);
         let t0 = m.now_cycles();

@@ -361,18 +361,18 @@ mod tests {
 
     #[test]
     fn seeded_fault_plan_is_deterministic_and_survivable() {
-        use crate::config::FaultConfig;
-        use tiersim_mem::RATE_ONE;
+        use tiersim_mem::{FaultPlan, RATE_ONE};
         let w = tiny(Kernel::Bfs, Dataset::Kron).trials(1);
-        let plan = FaultConfig {
+        let plan = FaultPlan {
             seed: 0xfau64 << 32 | 0x17,
             dram_alloc_fail_per_64k: RATE_ONE / 16,
             migrate_busy_per_64k: RATE_ONE / 2,
             reclaim_stall_per_64k: RATE_ONE / 8,
             reclaim_stall_cycles: 10_000,
-            ..FaultConfig::none()
+            ..FaultPlan::none()
         };
-        let mut c = cfg(&w, TieringMode::AutoNuma).with_fault(plan);
+        let mut c = cfg(&w, TieringMode::AutoNuma);
+        c.mem.fault = plan;
         c.os.migrate_max_retries = 1;
         let a = run_workload(c.clone(), w).unwrap();
         let b = run_workload(c, w).unwrap();
@@ -397,12 +397,11 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_leaves_reports_unchanged() {
-        use crate::config::FaultConfig;
         let w = tiny(Kernel::Cc, Dataset::Kron).trials(1);
         let plain = run_workload(cfg(&w, TieringMode::AutoNuma), w).unwrap();
-        let with_none =
-            run_workload(cfg(&w, TieringMode::AutoNuma).with_fault(FaultConfig::none()), w)
-                .unwrap();
+        let mut c = cfg(&w, TieringMode::AutoNuma);
+        c.mem.fault = tiersim_mem::FaultPlan::none();
+        let with_none = run_workload(c, w).unwrap();
         assert_eq!(plain.total_secs, with_none.total_secs);
         assert_eq!(plain.counters, with_none.counters);
         assert_eq!(plain.mem_stats, with_none.mem_stats);
@@ -415,8 +414,9 @@ mod tests {
         use tiersim_mem::TraceConfig;
         let w = tiny(Kernel::Cc, Dataset::Kron).trials(1);
         let plain = run_workload(cfg(&w, TieringMode::AutoNuma), w).unwrap();
-        let traced =
-            run_workload(cfg(&w, TieringMode::AutoNuma).with_trace(TraceConfig::on()), w).unwrap();
+        let mut c = cfg(&w, TieringMode::AutoNuma);
+        c.mem.trace = TraceConfig::on();
+        let traced = run_workload(c, w).unwrap();
         // Observer effect must be zero: tracing records, never perturbs.
         assert_eq!(plain.total_secs, traced.total_secs);
         assert_eq!(plain.counters, traced.counters);
@@ -440,7 +440,8 @@ mod tests {
         // A fast kswapd cadence makes the engine tick constantly, so a
         // budget of one tick is far below what the run needs and the
         // watchdog fires early and deterministically.
-        let mut c = cfg(&w, TieringMode::AutoNuma).with_tick_budget(1);
+        let mut c = cfg(&w, TieringMode::AutoNuma);
+        c.tick_budget = 1;
         c.os.kswapd_period_cycles = 1_000;
         let got = run_workload(c.clone(), w);
         match got {
@@ -458,8 +459,9 @@ mod tests {
     fn zero_tick_budget_disables_the_watchdog() {
         let w = tiny(Kernel::Bfs, Dataset::Kron).trials(1);
         let plain = run_workload(cfg(&w, TieringMode::AutoNuma), w).unwrap();
-        let armed_high =
-            run_workload(cfg(&w, TieringMode::AutoNuma).with_tick_budget(u64::MAX), w).unwrap();
+        let mut c = cfg(&w, TieringMode::AutoNuma);
+        c.tick_budget = u64::MAX;
+        let armed_high = run_workload(c, w).unwrap();
         // A budget the run never reaches must not perturb the simulation.
         assert_eq!(plain.total_secs, armed_high.total_secs);
         assert_eq!(plain.counters, armed_high.counters);

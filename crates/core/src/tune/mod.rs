@@ -243,7 +243,8 @@ pub fn run_tune(
         let mut cell_points: Vec<usize> = Vec::with_capacity(active.len());
         for &idx in &active {
             let Some(point) = points.get(idx).copied() else { continue };
-            let machine = point.apply(&base).with_tick_budget(budget);
+            let mut machine = point.apply(&base);
+            machine.tick_budget = budget;
             let w = workload;
             cells.push(JournalCell {
                 name: format!("r{rung}:b{budget}:{}", point.key()),
@@ -338,7 +339,9 @@ pub fn run_tune(
     let mut robust_points: Vec<usize> = Vec::with_capacity(final_active.len());
     for &idx in &final_active {
         let Some(point) = points.get(idx).copied() else { continue };
-        let mut machine = point.apply(&base).with_tick_budget(robust_budget).with_fault(fault);
+        let mut machine = point.apply(&base);
+        machine.tick_budget = robust_budget;
+        machine.mem.fault = fault;
         machine.os.migrate_max_retries = 1;
         let w = workload;
         robust_cells.push(JournalCell {

@@ -115,7 +115,8 @@ pub fn build_sim_csr<B: MemBackend>(
 /// Deserializes a pre-built CSR (a GAPBS `.sg` file that was just read
 /// through the page cache) into simulated memory: the `csr.index` and
 /// `csr.neighbors` objects are allocated and filled with sequential
-/// stores, exactly the copy-out a `read()`-based loader performs.
+/// stores, exactly the copy-out a `read()`-based loader performs. It is
+/// [`load_sim_csr_streamed`] with a reader that does nothing.
 ///
 /// This is the load path of the paper's artifact, which converts graphs
 /// offline (`converter -g30 -b kron.sg`) and starts every run from the
@@ -125,19 +126,11 @@ pub fn load_sim_csr<B: MemBackend>(
     host: &crate::csr::CsrGraph,
     threads: usize,
 ) -> SimCsrGraph {
-    let n = host.num_nodes();
-    let m = host.num_edges();
-    let mut index = SimVec::new(b, "csr.index", n + 1, 0u64);
-    for (u, &off) in host.offsets().iter().enumerate() {
-        attribute_thread(b, u, n + 1, threads);
-        index.set(b, u, off);
+    let no_read = |_: &mut B, _: u64| Ok::<(), std::convert::Infallible>(());
+    match load_sim_csr_streamed(b, host, threads, u64::MAX, no_read) {
+        Ok(g) => g,
+        Err(never) => match never {},
     }
-    let mut neighbors = SimVec::new(b, "csr.neighbors", m, 0 as NodeId);
-    for (i, &v) in host.neighbor_array().iter().enumerate() {
-        attribute_thread(b, i, m, threads);
-        neighbors.set(b, i, v);
-    }
-    SimCsrGraph::from_parts(index, neighbors)
 }
 
 /// Size in bytes of the serialized CSR (`.sg`) form: a small header plus
@@ -296,6 +289,10 @@ mod tests {
         .unwrap();
         assert_eq!(loaded.to_host_csr(), host);
         assert!(chunks > 1, "small chunks force multiple reads");
+        let mut eager = NullBackend::new();
+        load_sim_csr(&mut eager, &host, 3);
+        assert_eq!(b.mmaps(), eager.mmaps());
+        assert_eq!(b.stores(), eager.stores());
     }
 
     #[test]

@@ -117,10 +117,8 @@ pub struct NvmTimings {
 /// ```
 /// use tiersim_mem::MemConfig;
 ///
-/// let cfg = MemConfig::builder()
-///     .dram_capacity(64 << 20)
-///     .nvm_capacity(512 << 20)
-///     .build()?;
+/// let cfg = MemConfig { dram_capacity: 64 << 20, nvm_capacity: 512 << 20, ..MemConfig::default() };
+/// cfg.validate()?;
 /// assert_eq!(cfg.dram_capacity, 64 << 20);
 /// # Ok::<(), tiersim_mem::MemError>(())
 /// ```
@@ -164,11 +162,6 @@ pub struct MemConfig {
 }
 
 impl MemConfig {
-    /// Starts building a configuration from the defaults.
-    pub fn builder() -> MemConfigBuilder {
-        MemConfigBuilder { cfg: MemConfig::default() }
-    }
-
     /// Validates internal consistency of all geometry parameters.
     ///
     /// # Errors
@@ -261,103 +254,6 @@ impl Default for MemConfig {
     }
 }
 
-/// Builder for [`MemConfig`] ([C-BUILDER]).
-#[derive(Debug, Clone)]
-pub struct MemConfigBuilder {
-    cfg: MemConfig,
-}
-
-impl MemConfigBuilder {
-    /// Sets the DRAM capacity in bytes.
-    pub fn dram_capacity(mut self, bytes: u64) -> Self {
-        self.cfg.dram_capacity = bytes;
-        self
-    }
-
-    /// Sets the NVM capacity in bytes.
-    pub fn nvm_capacity(mut self, bytes: u64) -> Self {
-        self.cfg.nvm_capacity = bytes;
-        self
-    }
-
-    /// Sets the L1 data-cache geometry.
-    pub fn l1(mut self, geometry: CacheGeometry) -> Self {
-        self.cfg.l1 = geometry;
-        self
-    }
-
-    /// Sets the L2 cache geometry.
-    pub fn l2(mut self, geometry: CacheGeometry) -> Self {
-        self.cfg.l2 = geometry;
-        self
-    }
-
-    /// Sets the L3 cache geometry.
-    pub fn l3(mut self, geometry: CacheGeometry) -> Self {
-        self.cfg.l3 = geometry;
-        self
-    }
-
-    /// Sets the first-level TLB geometry.
-    pub fn dtlb(mut self, geometry: TlbGeometry) -> Self {
-        self.cfg.dtlb = geometry;
-        self
-    }
-
-    /// Sets the second-level TLB geometry.
-    pub fn stlb(mut self, geometry: TlbGeometry) -> Self {
-        self.cfg.stlb = geometry;
-        self
-    }
-
-    /// Sets the DRAM device timings.
-    pub fn dram_timings(mut self, timings: DramTimings) -> Self {
-        self.cfg.dram = timings;
-        self
-    }
-
-    /// Sets the NVM device timings.
-    pub fn nvm_timings(mut self, timings: NvmTimings) -> Self {
-        self.cfg.nvm = timings;
-        self
-    }
-
-    /// Sets the CPU frequency in Hz.
-    pub fn freq_hz(mut self, hz: u64) -> Self {
-        self.cfg.freq_hz = hz;
-        self
-    }
-
-    /// Enables Optane Memory Mode (DRAM as a direct-mapped cache of NVM).
-    pub fn memory_mode(mut self, enabled: bool) -> Self {
-        self.cfg.memory_mode = enabled;
-        self
-    }
-
-    /// Sets the fault-injection plan.
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault = plan;
-        self
-    }
-
-    /// Sets the event-trace settings.
-    pub fn trace(mut self, trace: TraceConfig) -> Self {
-        self.cfg.trace = trace;
-        self
-    }
-
-    /// Finishes the builder, validating the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::InvalidConfig`] if any parameter is inconsistent
-    /// (non-power-of-two set counts, zero capacities, …).
-    pub fn build(self) -> Result<MemConfig, MemError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,27 +272,31 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_bad_geometry() {
-        let err = MemConfig::builder()
-            .l1(CacheGeometry { capacity: 1000, ways: 3, latency: 4 })
-            .build()
-            .unwrap_err();
+    fn validate_rejects_bad_geometry() {
+        let err = MemConfig {
+            l1: CacheGeometry { capacity: 1000, ways: 3, latency: 4 },
+            ..MemConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, MemError::InvalidConfig { .. }));
     }
 
     #[test]
-    fn builder_rejects_unaligned_capacity() {
-        let err = MemConfig::builder().dram_capacity(4097).build().unwrap_err();
+    fn validate_rejects_unaligned_capacity() {
+        let err = MemConfig { dram_capacity: 4097, ..MemConfig::default() }.validate().unwrap_err();
         assert!(matches!(err, MemError::InvalidConfig { what: "dram capacity", .. }));
         assert!(err.to_string().contains("4097"), "error carries the offending value: {err}");
     }
 
     #[test]
-    fn builder_rejects_bad_fault_plan() {
-        let err = MemConfig::builder()
-            .fault(FaultPlan { nvm_spike_multiplier: 0, ..FaultPlan::none() })
-            .build()
-            .unwrap_err();
+    fn validate_rejects_bad_fault_plan() {
+        let err = MemConfig {
+            fault: FaultPlan { nvm_spike_multiplier: 0, ..FaultPlan::none() },
+            ..MemConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, MemError::InvalidConfig { what: "fault nvm spike multiplier", .. }));
     }
 

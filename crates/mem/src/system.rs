@@ -750,13 +750,11 @@ mod tests {
     use crate::fault::{CycleWindow, FaultPlan};
 
     fn sys() -> MemorySystem {
-        MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(16 * PAGE_SIZE)
-                .nvm_capacity(64 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        MemorySystem::new(MemConfig {
+            dram_capacity: 16 * PAGE_SIZE,
+            nvm_capacity: 64 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap()
     }
 
@@ -906,13 +904,11 @@ mod tests {
     /// in the order produced by `index`, and returns the mean cycles of
     /// the external (NVM) accesses.
     fn nvm_pass(len: u64, index: impl Fn(u64) -> u64) -> f64 {
-        let mut s = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(16 * PAGE_SIZE)
-                .nvm_capacity(4 << 20)
-                .build()
-                .unwrap(),
-        )
+        let mut s = MemorySystem::new(MemConfig {
+            dram_capacity: 16 * PAGE_SIZE,
+            nvm_capacity: 4 << 20,
+            ..MemConfig::default()
+        })
         .unwrap();
         let a = s.mmap(len, MemPolicy::Default, "region").unwrap();
         for i in 0..(len / PAGE_SIZE) {
@@ -1018,11 +1014,11 @@ mod tests {
             ),
         ) {
             let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(128 * PAGE_SIZE)
-                    .nvm_capacity(128 * PAGE_SIZE)
-                    .build()
-                    .unwrap(),
+                MemConfig {
+                    dram_capacity: 128 * PAGE_SIZE,
+                    nvm_capacity: 128 * PAGE_SIZE,
+                    ..MemConfig::default()
+                },
             )
             .unwrap();
             let base = s.mmap(32 * PAGE_SIZE, MemPolicy::Default, "run").unwrap();
@@ -1085,13 +1081,13 @@ mod tests {
                 ..FaultPlan::none()
             };
             let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(256 * PAGE_SIZE)
-                    .nvm_capacity(256 * PAGE_SIZE)
-                    .fault(plan)
-                    .trace(tiersim_trace::TraceConfig::on())
-                    .build()
-                    .unwrap(),
+                MemConfig {
+                    dram_capacity: 256 * PAGE_SIZE,
+                    nvm_capacity: 256 * PAGE_SIZE,
+                    fault: plan,
+                    trace: tiersim_trace::TraceConfig::on(),
+                    ..MemConfig::default()
+                },
             )
             .unwrap();
             let base = s.mmap(64 * PAGE_SIZE, MemPolicy::Default, "long").unwrap();
@@ -1121,13 +1117,11 @@ mod tests {
     /// A system with one whole 2 MiB block (512 pages) mapped on `tier`,
     /// starting exactly at a huge-page boundary (the arena base is one).
     fn huge_region(tier: Tier) -> (MemorySystem, VirtAddr) {
-        let mut s = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(1024 * PAGE_SIZE)
-                .nvm_capacity(1024 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut s = MemorySystem::new(MemConfig {
+            dram_capacity: 1024 * PAGE_SIZE,
+            nvm_capacity: 1024 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let a = s.mmap(crate::addr::HUGE_PAGE_SIZE, MemPolicy::Default, "thp").unwrap();
         assert!(a.page().is_huge_head(), "arena base must be 2 MiB aligned");
@@ -1224,14 +1218,12 @@ mod tests {
     fn run_regime(pages: u64, window: u64, prepopulate: bool) -> MemorySystem {
         let tier_of = |_pn: PageNum| Tier::Dram;
         let (mut s, a) = {
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(256 * PAGE_SIZE)
-                    .nvm_capacity(256 * PAGE_SIZE)
-                    .trace(tiersim_trace::TraceConfig::on())
-                    .build()
-                    .unwrap(),
-            )
+            let mut s = MemorySystem::new(MemConfig {
+                dram_capacity: 256 * PAGE_SIZE,
+                nvm_capacity: 256 * PAGE_SIZE,
+                trace: tiersim_trace::TraceConfig::on(),
+                ..MemConfig::default()
+            })
             .unwrap();
             let a = s.mmap(pages * PAGE_SIZE, MemPolicy::Default, "regime").unwrap();
             (s, a)
@@ -1287,14 +1279,12 @@ mod tests {
     #[test]
     fn access_run_memory_mode_matches_reference() {
         let build = || {
-            let mut s = MemorySystem::new(
-                MemConfig::builder()
-                    .dram_capacity(16 * PAGE_SIZE)
-                    .nvm_capacity(64 * PAGE_SIZE)
-                    .memory_mode(true)
-                    .build()
-                    .unwrap(),
-            )
+            let mut s = MemorySystem::new(MemConfig {
+                dram_capacity: 16 * PAGE_SIZE,
+                nvm_capacity: 64 * PAGE_SIZE,
+                memory_mode: true,
+                ..MemConfig::default()
+            })
             .unwrap();
             let a = s.mmap(8 * PAGE_SIZE, MemPolicy::Default, "mm").unwrap();
             for i in 0..8 {

@@ -497,13 +497,11 @@ mod tests {
     #[test]
     fn huge_block_integrity_catches_mixed_tier_block() {
         use tiersim_mem::{MemConfig, MemPolicy, PAGE_SIZE};
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(1024 * PAGE_SIZE)
-                .nvm_capacity(1024 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 1024 * PAGE_SIZE,
+            nvm_capacity: 1024 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let a = m.mmap(HUGE_PAGE_PAGES * PAGE_SIZE, MemPolicy::Default, "big").unwrap();
         for i in 0..HUGE_PAGE_PAGES {

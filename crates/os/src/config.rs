@@ -16,10 +16,8 @@ use crate::error::OsError;
 /// ```
 /// use tiersim_os::OsConfig;
 ///
-/// let cfg = OsConfig::builder()
-///     .autonuma_enabled(true)
-///     .build()?
-///     .with_time_dilation(100.0);
+/// let cfg = OsConfig { thp_enabled: true, ..OsConfig::default() }.with_time_dilation(100.0);
+/// cfg.validate()?;
 /// assert!(cfg.scan_period_cycles < OsConfig::default().scan_period_cycles);
 /// # Ok::<(), tiersim_os::OsError>(())
 /// ```
@@ -193,11 +191,6 @@ impl OsConfig {
         }
     }
 
-    /// Starts building a configuration from the defaults.
-    pub fn builder() -> OsConfigBuilder {
-        OsConfigBuilder { cfg: OsConfig::default() }
-    }
-
     /// Returns a copy with every OS *time constant* divided by `factor`,
     /// so scaled-down workloads experience the same number of scan,
     /// threshold-adjust and kswapd cycles per run as the paper's full-size
@@ -337,122 +330,6 @@ impl OsConfig {
     }
 }
 
-/// Builder for [`OsConfig`].
-#[derive(Debug, Clone)]
-pub struct OsConfigBuilder {
-    cfg: OsConfig,
-}
-
-impl OsConfigBuilder {
-    /// Enables or disables AutoNUMA tiering.
-    pub fn autonuma_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.autonuma_enabled = enabled;
-        self
-    }
-
-    /// Sets the scanner period in cycles.
-    pub fn scan_period_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.scan_period_cycles = cycles;
-        self
-    }
-
-    /// Sets the pages marked per scanner wakeup.
-    pub fn scan_size_pages(mut self, pages: u64) -> Self {
-        self.cfg.scan_size_pages = pages;
-        self
-    }
-
-    /// Sets the initial hot threshold in cycles.
-    pub fn hot_threshold_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.hot_threshold_cycles = cycles;
-        self
-    }
-
-    /// Sets the dynamic threshold's clamp range `[min, max]` in cycles.
-    pub fn hot_threshold_clamps(mut self, min_cycles: u64, max_cycles: u64) -> Self {
-        self.cfg.hot_threshold_min_cycles = min_cycles;
-        self.cfg.hot_threshold_max_cycles = max_cycles;
-        self
-    }
-
-    /// Sets the period between dynamic-threshold adjustments in cycles.
-    pub fn threshold_adjust_period_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.threshold_adjust_period_cycles = cycles;
-        self
-    }
-
-    /// Sets the promotion rate limit in bytes per simulated second.
-    pub fn promo_rate_limit_bytes_per_sec(mut self, bytes: u64) -> Self {
-        self.cfg.promo_rate_limit_bytes_per_sec = bytes;
-        self
-    }
-
-    /// Sets the DRAM watermark fractions `(min, low, high)`.
-    pub fn watermarks(mut self, min: f64, low: f64, high: f64) -> Self {
-        self.cfg.wmark_min_frac = min;
-        self.cfg.wmark_low_frac = low;
-        self.cfg.wmark_high_frac = high;
-        self
-    }
-
-    /// Enables or disables the page cache.
-    pub fn page_cache_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.page_cache_enabled = enabled;
-        self
-    }
-
-    /// Sets the kswapd demotion batch size in pages.
-    pub fn kswapd_batch_pages(mut self, pages: u64) -> Self {
-        self.cfg.kswapd_batch_pages = pages;
-        self
-    }
-
-    /// Sets the bounded migration-retry policy: `retries` extra attempts
-    /// after a transient failure, each preceded by `backoff_cycles` of
-    /// simulated backoff.
-    pub fn migrate_retry(mut self, retries: u32, backoff_cycles: u64) -> Self {
-        self.cfg.migrate_max_retries = retries;
-        self.cfg.migrate_retry_backoff_cycles = backoff_cycles;
-        self
-    }
-
-    /// Enables or disables transparent huge pages (khugepaged collapse).
-    pub fn thp_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.thp_enabled = enabled;
-        self
-    }
-
-    /// Sets the khugepaged wakeup period in cycles.
-    pub fn khugepaged_period_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.khugepaged_period_cycles = cycles;
-        self
-    }
-
-    /// Sets the pages mapped per first-touch fault (`1` disables
-    /// fault-around; larger values bulk-map up to `n - 1` extra pages).
-    pub fn fault_around_pages(mut self, pages: u64) -> Self {
-        self.cfg.fault_around_pages = pages;
-        self
-    }
-
-    /// Runs the tiersim-audit invariant checks every `ticks` engine ticks
-    /// in debug builds (`0` disables the checkpoints).
-    pub fn audit_every_ticks(mut self, ticks: u64) -> Self {
-        self.cfg.audit_every_ticks = ticks;
-        self
-    }
-
-    /// Finishes the builder, validating the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OsError::InvalidConfig`] on inconsistent parameters.
-    pub fn build(self) -> Result<OsConfig, OsError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,25 +379,46 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_threshold_knobs() {
+    fn validate_rejects_zero_threshold_knobs() {
         // Regression: threshold 0 means `is_hot` (strictly below) can
         // never fire — promotion silently dies instead of erroring.
-        let err = OsConfig::builder().hot_threshold_cycles(0).build().unwrap_err();
+        let err =
+            OsConfig { hot_threshold_cycles: 0, ..OsConfig::default() }.validate().unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "hot threshold", .. }));
         assert!(err.to_string().contains("0 cycles"), "error carries the value: {err}");
 
-        let err = OsConfig::builder().hot_threshold_clamps(0, 1000).build().unwrap_err();
+        let err = OsConfig {
+            hot_threshold_min_cycles: 0,
+            hot_threshold_max_cycles: 1000,
+            ..OsConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "hot threshold min clamp", .. }));
 
-        let err = OsConfig::builder().threshold_adjust_period_cycles(0).build().unwrap_err();
+        let err = OsConfig { threshold_adjust_period_cycles: 0, ..OsConfig::default() }
+            .validate()
+            .unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "threshold adjust period", .. }));
     }
 
     #[test]
-    fn builder_rejects_inverted_threshold_clamps() {
-        let err = OsConfig::builder().hot_threshold_clamps(100, 10).build().unwrap_err();
+    fn validate_rejects_inverted_threshold_clamps() {
+        let err = OsConfig {
+            hot_threshold_min_cycles: 100,
+            hot_threshold_max_cycles: 10,
+            ..OsConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "threshold clamps", .. }));
-        OsConfig::builder().hot_threshold_clamps(10, 100).build().unwrap();
+        OsConfig {
+            hot_threshold_min_cycles: 10,
+            hot_threshold_max_cycles: 100,
+            ..OsConfig::default()
+        }
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -541,8 +439,15 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_inverted_watermarks() {
-        let err = OsConfig::builder().watermarks(0.5, 0.1, 0.9).build().unwrap_err();
+    fn validate_rejects_inverted_watermarks() {
+        let err = OsConfig {
+            wmark_min_frac: 0.5,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.9,
+            ..OsConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "watermarks", .. }));
         assert!(err.to_string().contains("0.5"), "error carries the offending value: {err}");
     }
@@ -554,28 +459,33 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_zero_fault_around_window() {
-        let err = OsConfig::builder().fault_around_pages(0).build().unwrap_err();
+    fn validate_rejects_zero_fault_around_window() {
+        let err = OsConfig { fault_around_pages: 0, ..OsConfig::default() }.validate().unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "fault-around window", .. }));
         // 1 means "just the faulting page" and is the valid off state.
-        OsConfig::builder().fault_around_pages(1).build().unwrap();
+        OsConfig { fault_around_pages: 1, ..OsConfig::default() }.validate().unwrap();
     }
 
     #[test]
-    fn builder_rejects_zero_khugepaged_period() {
-        let err = OsConfig::builder().khugepaged_period_cycles(0).build().unwrap_err();
+    fn validate_rejects_zero_khugepaged_period() {
+        let err =
+            OsConfig { khugepaged_period_cycles: 0, ..OsConfig::default() }.validate().unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "khugepaged", .. }));
     }
 
     #[test]
-    fn builder_rejects_sub_page_rate_limit() {
+    fn validate_rejects_sub_page_rate_limit() {
         // Regression: a rate below one page per second meant the token
         // bucket's burst capacity could never cover a single page-sized
         // promotion, stalling all promotions forever with no error.
-        let err = OsConfig::builder().promo_rate_limit_bytes_per_sec(100).build().unwrap_err();
+        let err = OsConfig { promo_rate_limit_bytes_per_sec: 100, ..OsConfig::default() }
+            .validate()
+            .unwrap_err();
         assert!(matches!(err, OsError::InvalidConfig { what: "promotion rate limit", .. }));
         assert!(err.to_string().contains("100"), "error carries the offending value: {err}");
         // One page per second is the smallest workable rate.
-        OsConfig::builder().promo_rate_limit_bytes_per_sec(tiersim_mem::PAGE_SIZE).build().unwrap();
+        OsConfig { promo_rate_limit_bytes_per_sec: tiersim_mem::PAGE_SIZE, ..OsConfig::default() }
+            .validate()
+            .unwrap();
     }
 }

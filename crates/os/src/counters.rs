@@ -205,13 +205,11 @@ mod tests {
 
     #[test]
     fn numastat_splits_anon_and_file() {
-        let mut mem = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(8 * PAGE_SIZE)
-                .nvm_capacity(8 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut mem = MemorySystem::new(MemConfig {
+            dram_capacity: 8 * PAGE_SIZE,
+            nvm_capacity: 8 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let a = mem.mmap(2 * PAGE_SIZE, MemPolicy::Default, "anon").unwrap();
         mem.map_page(a.page(), Tier::Dram, 0).unwrap();

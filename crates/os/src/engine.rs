@@ -730,18 +730,22 @@ mod tests {
     use tiersim_mem::{AccessError, AccessKind, MemConfig};
 
     fn mem(dram_pages: u64, nvm_pages: u64) -> MemorySystem {
-        MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(dram_pages * PAGE_SIZE)
-                .nvm_capacity(nvm_pages * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        MemorySystem::new(MemConfig {
+            dram_capacity: dram_pages * PAGE_SIZE,
+            nvm_capacity: nvm_pages * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap()
     }
 
     fn os() -> AutoNuma {
-        AutoNuma::new(OsConfig::builder().watermarks(0.05, 0.1, 0.2).build().unwrap()).unwrap()
+        AutoNuma::new(OsConfig {
+            wmark_min_frac: 0.05,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.2,
+            ..OsConfig::default()
+        })
+        .unwrap()
     }
 
     /// Touches `addr`, servicing the first-touch fault through the engine.
@@ -838,11 +842,13 @@ mod tests {
     #[test]
     fn cold_page_is_threshold_rejected_under_pressure() {
         let mut m = mem(10, 100);
-        let mut cfg = OsConfig::builder()
-            .watermarks(0.05, 0.1, 0.9) // high watermark ≈ whole DRAM
-            .hot_threshold_cycles(100)
-            .build()
-            .unwrap();
+        let mut cfg = OsConfig {
+            wmark_min_frac: 0.05,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.9, // high watermark ≈ whole DRAM
+            hot_threshold_cycles: 100,
+            ..OsConfig::default()
+        };
         cfg.hot_threshold_min_cycles = 1;
         let mut e = AutoNuma::new(cfg).unwrap();
         // Put the DRAM free count at/below the high watermark so the
@@ -865,7 +871,7 @@ mod tests {
     fn disabled_autonuma_never_migrates() {
         let mut m = mem(8, 100);
         let mut e =
-            AutoNuma::new(OsConfig::builder().autonuma_enabled(false).build().unwrap()).unwrap();
+            AutoNuma::new(OsConfig { autonuma_enabled: false, ..OsConfig::default() }).unwrap();
         let a = m.mmap(20 * PAGE_SIZE, MemPolicy::Default, "big").unwrap();
         for i in 0..20 {
             touch(&mut m, &mut e, a + i * PAGE_SIZE, i);
@@ -882,7 +888,7 @@ mod tests {
     fn tick_runs_scanner_and_marks_pages() {
         let mut m = mem(100, 100);
         let mut e =
-            AutoNuma::new(OsConfig::builder().scan_period_cycles(1000).build().unwrap()).unwrap();
+            AutoNuma::new(OsConfig { scan_period_cycles: 1000, ..OsConfig::default() }).unwrap();
         let a = m.mmap(4 * PAGE_SIZE, MemPolicy::Default, "x").unwrap();
         for i in 0..4 {
             touch(&mut m, &mut e, a + i * PAGE_SIZE, i);
@@ -922,7 +928,7 @@ mod tests {
     fn file_read_with_cache_disabled_only_waits() {
         let mut m = mem(100, 100);
         let mut e =
-            AutoNuma::new(OsConfig::builder().page_cache_enabled(false).build().unwrap()).unwrap();
+            AutoNuma::new(OsConfig { page_cache_enabled: false, ..OsConfig::default() }).unwrap();
         let (region, wait) = e.file_read(&mut m, 10 * PAGE_SIZE, 0).unwrap();
         assert!(region.is_none());
         assert!(wait > 0);
@@ -932,7 +938,7 @@ mod tests {
     #[test]
     fn adaptive_scanner_backs_off_when_quiet_and_recovers_on_faults() {
         let mut m = mem(100, 100);
-        let mut cfg = OsConfig::builder().scan_period_cycles(1_000).build().unwrap();
+        let mut cfg = OsConfig { scan_period_cycles: 1_000, ..OsConfig::default() };
         cfg.scan_period_adaptive = true;
         cfg.scan_period_max_cycles = 100_000;
         let mut e = AutoNuma::new(cfg).unwrap();
@@ -959,14 +965,12 @@ mod tests {
         use tiersim_mem::{FaultPlan, RATE_ONE};
         // Every migration fails: promotion must retry (with backoff),
         // then give up, leave the page on NVM and requeue its hint.
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(100 * PAGE_SIZE)
-                .nvm_capacity(100 * PAGE_SIZE)
-                .fault(FaultPlan { seed: 1, migrate_busy_per_64k: RATE_ONE, ..FaultPlan::none() })
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 100 * PAGE_SIZE,
+            nvm_capacity: 100 * PAGE_SIZE,
+            fault: FaultPlan { seed: 1, migrate_busy_per_64k: RATE_ONE, ..FaultPlan::none() },
+            ..MemConfig::default()
+        })
         .unwrap();
         let mut e = os();
         let a = m.mmap(PAGE_SIZE, MemPolicy::Bind(Tier::Nvm), "x").unwrap();
@@ -989,18 +993,12 @@ mod tests {
         use tiersim_mem::{FaultPlan, RATE_ONE};
         // Every DRAM allocation fails transiently: default placement
         // must fall back to NVM instead of erroring out.
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(100 * PAGE_SIZE)
-                .nvm_capacity(100 * PAGE_SIZE)
-                .fault(FaultPlan {
-                    seed: 2,
-                    dram_alloc_fail_per_64k: RATE_ONE,
-                    ..FaultPlan::none()
-                })
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 100 * PAGE_SIZE,
+            nvm_capacity: 100 * PAGE_SIZE,
+            fault: FaultPlan { seed: 2, dram_alloc_fail_per_64k: RATE_ONE, ..FaultPlan::none() },
+            ..MemConfig::default()
+        })
         .unwrap();
         let mut e = os();
         let a = m.mmap(4 * PAGE_SIZE, MemPolicy::Default, "x").unwrap();
@@ -1015,9 +1013,13 @@ mod tests {
     #[test]
     fn audit_is_clean_after_mixed_activity() {
         let mut m = mem(10, 100);
-        let mut e = AutoNuma::new(
-            OsConfig::builder().watermarks(0.05, 0.1, 0.2).audit_every_ticks(1).build().unwrap(),
-        )
+        let mut e = AutoNuma::new(OsConfig {
+            wmark_min_frac: 0.05,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.2,
+            audit_every_ticks: 1,
+            ..OsConfig::default()
+        })
         .unwrap();
         let a = m.mmap(12 * PAGE_SIZE, MemPolicy::Default, "x").unwrap();
         for i in 0..12 {
@@ -1075,9 +1077,13 @@ mod tests {
     #[test]
     fn fault_around_bulk_maps_following_pages() {
         let mut m = mem(100, 100);
-        let mut e = AutoNuma::new(
-            OsConfig::builder().watermarks(0.05, 0.1, 0.2).fault_around_pages(16).build().unwrap(),
-        )
+        let mut e = AutoNuma::new(OsConfig {
+            wmark_min_frac: 0.05,
+            wmark_low_frac: 0.1,
+            wmark_high_frac: 0.2,
+            fault_around_pages: 16,
+            ..OsConfig::default()
+        })
         .unwrap();
         let a = m.mmap(32 * PAGE_SIZE, MemPolicy::Default, "x").unwrap();
         touch(&mut m, &mut e, a, 0);
@@ -1100,13 +1106,11 @@ mod tests {
     #[test]
     fn khugepaged_collapses_eligible_blocks() {
         let mut m = mem(HUGE_PAGE_PAGES + 64, 2 * HUGE_PAGE_PAGES);
-        let mut e = AutoNuma::new(
-            OsConfig::builder()
-                .autonuma_enabled(false) // no scanner: hint marks would veto collapse
-                .thp_enabled(true)
-                .build()
-                .unwrap(),
-        )
+        let mut e = AutoNuma::new(OsConfig {
+            autonuma_enabled: false, // no scanner: hint marks would veto collapse
+            thp_enabled: true,
+            ..OsConfig::default()
+        })
         .unwrap();
         let a = m.mmap(HUGE_PAGE_PAGES * PAGE_SIZE, MemPolicy::Default, "big").unwrap();
         for i in 0..HUGE_PAGE_PAGES {

@@ -109,13 +109,11 @@ mod tests {
     use tiersim_mem::{MemConfig, MemPolicy, PageFlags, Tier};
 
     fn mem() -> MemorySystem {
-        MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(64 * PAGE_SIZE)
-                .nvm_capacity(64 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        MemorySystem::new(MemConfig {
+            dram_capacity: 64 * PAGE_SIZE,
+            nvm_capacity: 64 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap()
     }
 
@@ -180,13 +178,11 @@ mod tests {
 
     #[test]
     fn huge_block_is_marked_once_at_its_head() {
-        let mut m = MemorySystem::new(
-            MemConfig::builder()
-                .dram_capacity(1024 * PAGE_SIZE)
-                .nvm_capacity(1024 * PAGE_SIZE)
-                .build()
-                .unwrap(),
-        )
+        let mut m = MemorySystem::new(MemConfig {
+            dram_capacity: 1024 * PAGE_SIZE,
+            nvm_capacity: 1024 * PAGE_SIZE,
+            ..MemConfig::default()
+        })
         .unwrap();
         let a = m.mmap(HUGE_PAGE_PAGES * PAGE_SIZE, MemPolicy::Default, "big").unwrap();
         for i in 0..HUGE_PAGE_PAGES {

@@ -8,13 +8,11 @@ use tiersim_mem::{
 use tiersim_os::{AutoNuma, OsConfig};
 
 fn mem(dram_pages: u64, nvm_pages: u64) -> MemorySystem {
-    MemorySystem::new(
-        MemConfig::builder()
-            .dram_capacity(dram_pages * PAGE_SIZE)
-            .nvm_capacity(nvm_pages * PAGE_SIZE)
-            .build()
-            .unwrap(),
-    )
+    MemorySystem::new(MemConfig {
+        dram_capacity: dram_pages * PAGE_SIZE,
+        nvm_capacity: nvm_pages * PAGE_SIZE,
+        ..MemConfig::default()
+    })
     .unwrap()
 }
 
@@ -39,12 +37,14 @@ fn touch(m: &mut MemorySystem, os: &mut AutoNuma, addr: VirtAddr, now: u64) {
 #[test]
 fn tiny_rate_limit_binds() {
     let mut m = mem(64, 256);
-    let mut cfg = OsConfig::builder()
-        .promo_rate_limit_bytes_per_sec(PAGE_SIZE) // one page per second
-        .watermarks(0.05, 0.08, 0.95) // high watermark ≈ whole DRAM → gated path
-        .hot_threshold_cycles(u64::MAX / 4)
-        .build()
-        .unwrap();
+    let mut cfg = OsConfig {
+        promo_rate_limit_bytes_per_sec: PAGE_SIZE, // one page per second
+        wmark_min_frac: 0.05,
+        wmark_low_frac: 0.08,
+        wmark_high_frac: 0.95, // high watermark ≈ whole DRAM → gated path
+        hot_threshold_cycles: u64::MAX / 4,
+        ..OsConfig::default()
+    };
     cfg.hot_threshold_max_cycles = u64::MAX / 2;
     let mut os = AutoNuma::new(cfg).unwrap();
     // Occupy most of DRAM so free <= high and promotion is gated.
@@ -73,7 +73,12 @@ proptest! {
     fn kswapd_restores_watermark(touch_order in proptest::collection::vec(0u64..32, 0..200)) {
         let mut m = mem(32, 128);
         let mut os = AutoNuma::new(
-            OsConfig::builder().watermarks(0.05, 0.1, 0.25).build().unwrap(),
+            OsConfig {
+                wmark_min_frac: 0.05,
+                wmark_low_frac: 0.1,
+                wmark_high_frac: 0.25,
+                ..OsConfig::default()
+            },
         )
         .unwrap();
         let a = m.mmap(32 * PAGE_SIZE, MemPolicy::Default, "data").unwrap();
@@ -105,7 +110,10 @@ proptest! {
     fn disabled_engine_never_migrates(touches in proptest::collection::vec((0u64..64, 0u64..1000), 1..150)) {
         let mut m = mem(16, 128);
         let mut os = AutoNuma::new(
-            OsConfig::builder().autonuma_enabled(false).build().unwrap(),
+            OsConfig {
+                autonuma_enabled: false,
+                ..OsConfig::default()
+            },
         )
         .unwrap();
         let a = m.mmap(64 * PAGE_SIZE, MemPolicy::Default, "data").unwrap();
@@ -121,11 +129,13 @@ proptest! {
 #[test]
 fn threshold_adapts_over_time() {
     let mut m = mem(8, 64);
-    let mut cfg = OsConfig::builder()
-        .watermarks(0.05, 0.1, 0.9)
-        .hot_threshold_cycles(1_000_000)
-        .build()
-        .unwrap();
+    let mut cfg = OsConfig {
+        wmark_min_frac: 0.05,
+        wmark_low_frac: 0.1,
+        wmark_high_frac: 0.9,
+        hot_threshold_cycles: 1_000_000,
+        ..OsConfig::default()
+    };
     cfg.threshold_adjust_period_cycles = 1_000;
     cfg.promo_rate_limit_bytes_per_sec = u64::MAX / (1 << 20); // never binds
     let mut os = AutoNuma::new(cfg).unwrap();

@@ -6,22 +6,22 @@
 //! ```
 
 use tiersim::core::{
-    run_workload, Dataset, FaultConfig, Kernel, MachineConfig, WorkloadConfig, RATE_ONE,
+    run_workload, Dataset, FaultPlan, Kernel, MachineConfig, WorkloadConfig, RATE_ONE,
 };
 use tiersim::policy::TieringMode;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadConfig::new(Kernel::Bfs, Dataset::Kron).scale(12).trials(2);
-    let plan = FaultConfig {
+    let plan = FaultPlan {
         seed: 42,
         dram_alloc_fail_per_64k: RATE_ONE / 16, // ~6% of DRAM allocations fail transiently
         migrate_busy_per_64k: RATE_ONE / 2,     // 50% of migration attempts hit EBUSY
         reclaim_stall_per_64k: RATE_ONE / 8,    // ~12% of reclaim passes stall
         reclaim_stall_cycles: 10_000,
-        ..FaultConfig::none()
+        ..FaultPlan::none()
     };
-    let mut cfg = MachineConfig::scaled_default(workload.steady_app_bytes(), TieringMode::AutoNuma)
-        .with_fault(plan);
+    let mut cfg = MachineConfig::scaled_default(workload.steady_app_bytes(), TieringMode::AutoNuma);
+    cfg.mem.fault = plan;
     cfg.os.migrate_max_retries = 1;
 
     let faulty = run_workload(cfg, workload)?;

@@ -42,3 +42,9 @@ pub use tiersim_mem as mem;
 pub use tiersim_os as os;
 pub use tiersim_policy as policy;
 pub use tiersim_profile as profile;
+
+/// Compiles the Rust snippets in README.md as doctests, so the README
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

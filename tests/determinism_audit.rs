@@ -38,7 +38,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// engine's own `debug_assert!` fires mid-run in addition to the final
 /// explicit check below.
 fn audited_machine(mode: TieringMode) -> Machine {
-    let cfg = MachineConfig::scaled_default(1 << 20, mode).with_audit(1);
+    let mut cfg = MachineConfig::scaled_default(1 << 20, mode);
+    cfg.os.audit_every_ticks = 1;
     Machine::new(cfg).expect("machine")
 }
 
@@ -93,16 +94,15 @@ proptest! {
     }
 }
 
-/// `MachineConfig::with_audit` threads the checkpoint interval through to
-/// the OS engine config.
+/// The checkpoint interval set on `MachineConfig::os` reaches the OS
+/// engine the machine builds, and the default leaves checkpoints off.
 #[test]
 fn with_audit_sets_interval() {
-    let cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma).with_audit(32);
-    assert_eq!(cfg.os.audit_every_ticks, 32);
-    assert_eq!(
-        MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma).os.audit_every_ticks,
-        0
-    );
+    let mut cfg = MachineConfig::scaled_default(1 << 20, TieringMode::AutoNuma);
+    assert_eq!(cfg.os.audit_every_ticks, 0);
+    cfg.os.audit_every_ticks = 32;
+    let m = Machine::new(cfg).expect("machine");
+    assert_eq!(m.os().config().audit_every_ticks, 32);
 }
 
 /// An explicit audit on a fresh machine is clean and walks zero pages.

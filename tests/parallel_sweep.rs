@@ -108,7 +108,8 @@ fn audited_runs_stay_clean_under_parallel_sweep() {
             .into_iter()
             .take(4)
             .map(|w| {
-                let mc: MachineConfig = cfg.machine(TieringMode::AutoNuma).with_audit(64);
+                let mut mc: MachineConfig = cfg.machine(TieringMode::AutoNuma);
+                mc.os.audit_every_ticks = 64;
                 move || serialized(&run_workload(mc, w).expect("audited run"))
             })
             .collect();
