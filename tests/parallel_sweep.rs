@@ -48,7 +48,20 @@ fn repro_suite_output_is_byte_identical_across_jobs() {
     assert_eq!(serial.exit_code(), 0);
     assert_eq!(parallel.exit_code(), 0);
     // Pins the suite's bytes, not just their agreement across jobs: a
-    // change to any reproduced number must update this digest on purpose.
+    // change to any reproduced number must rewrite the golden file with
+    // `serial.output()` and update this digest on purpose. The golden file
+    // shows what changed.
+    let golden = include_str!("../results/golden_scale11.txt");
+    if let Some((i, (want, got))) =
+        golden.lines().zip(serial.output().lines()).enumerate().find(|(_, (w, g))| w != g)
+    {
+        panic!("suite output differs from results/golden_scale11.txt at line {}:\n  golden: {want}\n  now:    {got}", i + 1);
+    }
+    assert_eq!(
+        golden.lines().count(),
+        serial.output().lines().count(),
+        "suite output and results/golden_scale11.txt differ in length"
+    );
     let digest = fnv1a64(serial.output().as_bytes());
     assert_eq!(digest, 0x68f9_8959_2c47_04f2, "suite output changed: {digest:016x}");
 }
