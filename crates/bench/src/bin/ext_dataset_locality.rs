@@ -5,13 +5,14 @@
 //! the object-level static mapping.
 
 use tiersim_bench::{banner, Cli};
+use tiersim_core::experiments::Comparison;
 use tiersim_core::render::{pct, secs, TextTable};
-use tiersim_core::{plan_from_report, run_workload, Dataset, Kernel};
+use tiersim_core::{Dataset, Kernel};
 use tiersim_policy::TieringMode;
 use tiersim_profile::TouchHistogram;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env_standalone();
     banner("extension — dataset locality (irregular vs lattice)", &cli);
     let cfg = cli.experiment;
     let mut t = TextTable::new(vec![
@@ -24,22 +25,19 @@ fn main() {
         "Static gain",
     ]);
     for dataset in [Dataset::Kron, Dataset::Urand, Dataset::Road] {
-        let w = cfg.workload(Kernel::Bfs, dataset);
-        let base = cfg.machine(TieringMode::AutoNuma);
-        let auto = run_workload(base.clone(), w).expect("autonuma run");
-        let plan = plan_from_report(&auto, &base, true);
-        let mut sc = base;
-        sc.mode = TieringMode::StaticObject(plan);
-        let stat = run_workload(sc, w).expect("static run");
+        let auto = cfg
+            .run(cfg.workload(Kernel::Bfs, dataset), TieringMode::AutoNuma)
+            .expect("autonuma run");
+        let row = Comparison::compare(&cfg, &auto, true).expect("static run");
         let (one, _, three) = TouchHistogram::of(&auto.samples).access_fractions();
         t.row(vec![
             dataset.to_string(),
             pct(one),
             pct(three),
             auto.counters.pgpromote_success.to_string(),
-            secs(auto.total_secs),
-            secs(stat.total_secs),
-            pct(1.0 - stat.total_secs / auto.total_secs),
+            secs(row.autonuma_secs),
+            secs(row.static_secs),
+            pct(row.improvement()),
         ]);
     }
     let text = t.render();

@@ -3,12 +3,13 @@
 //! and migrates objects online — the future work its conclusion sketches.
 
 use tiersim_bench::{banner, Cli};
+use tiersim_core::experiments::Comparison;
 use tiersim_core::render::{pct, secs, TextTable};
-use tiersim_core::{plan_from_report, run_workload, Dataset, Kernel};
+use tiersim_core::{Dataset, Kernel};
 use tiersim_policy::{DynamicObjectConfig, TieringMode};
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env_standalone();
     banner("extension — dynamic vs static object-level tiering", &cli);
     let cfg = cli.experiment;
     let mut t = TextTable::new(vec![
@@ -22,21 +23,16 @@ fn main() {
     for kernel in [Kernel::Bc, Kernel::Cc] {
         for dataset in [Dataset::Kron, Dataset::Urand] {
             let w = cfg.workload(kernel, dataset);
-            let base = cfg.machine(TieringMode::AutoNuma);
-            let auto = run_workload(base.clone(), w).expect("autonuma");
-            let plan = plan_from_report(&auto, &base, true);
-            let mut sc = base.clone();
-            sc.mode = TieringMode::StaticObject(plan);
-            let stat = run_workload(sc, w).expect("static");
-            let mut dc = base;
-            dc.mode = TieringMode::DynamicObject(DynamicObjectConfig::default());
-            let dynr = run_workload(dc, w).expect("dynamic");
+            let auto = cfg.run(w, TieringMode::AutoNuma).expect("autonuma");
+            let row = Comparison::compare(&cfg, &auto, true).expect("static");
+            let dynamic = TieringMode::DynamicObject(DynamicObjectConfig::default());
+            let dynr = cfg.run(w, dynamic).expect("dynamic");
             t.row(vec![
                 w.name(),
-                secs(auto.total_secs),
-                secs(stat.total_secs),
+                secs(row.autonuma_secs),
+                secs(row.static_secs),
                 secs(dynr.total_secs),
-                pct(1.0 - stat.total_secs / auto.total_secs),
+                pct(row.improvement()),
                 pct(1.0 - dynr.total_secs / auto.total_secs),
             ]);
         }

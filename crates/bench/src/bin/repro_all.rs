@@ -2,6 +2,9 @@
 //! six AutoNUMA paper runs are made once and feed Figures 3–11: Tables
 //! 1–3 and Figures 3–5 and 11 read all six, Figures 6–10 read bc_kron.
 //!
+//! `--only fig6,fig11` prints just those sections, byte for byte as the
+//! full run does, and runs only what they read: `--only fig6` makes one run.
+//!
 //! Experiments are isolated: a failing (or panicking) experiment is
 //! recorded and the rest still run. A failure summary is printed at the
 //! end and the process exits nonzero if anything failed.
@@ -19,7 +22,7 @@
 //! `repro_all tune ...` dispatches to the AutoNUMA knob auto-tuner
 //! service instead (DESIGN.md §16); see `tiersim_bench::tune_cli`.
 
-use tiersim_bench::{banner, run_repro_suite, run_suite_journaled, run_tune_cli, Cli};
+use tiersim_bench::{banner, run_repro_sections, run_suite_journaled, run_tune_cli, Cli};
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
@@ -37,6 +40,7 @@ fn main() {
             journal,
             cli.runner_options(),
             cli.inject_failure,
+            &cli.only,
         ) {
             Ok(suite) => suite,
             Err(e) => {
@@ -45,7 +49,7 @@ fn main() {
             }
         }
     } else {
-        run_repro_suite(&cli.experiment, cli.inject_failure)
+        run_repro_sections(&cli.experiment, cli.inject_failure, &cli.only)
     };
     print!("{}", suite.summary());
     if let Some(stats) = suite.cell_stats() {
@@ -54,6 +58,7 @@ fn main() {
         // re-run.
         eprintln!("journal: {} cells executed, {} replayed", stats.executed, stats.replayed);
     }
+    eprintln!("autonuma runs made: {}", suite.autonuma_runs());
     cli.maybe_write_out(suite.output());
     cli.maybe_write_trace(suite.trace_exports());
     std::process::exit(suite.exit_code());

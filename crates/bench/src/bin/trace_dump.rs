@@ -14,8 +14,9 @@ use tiersim_policy::TieringMode;
 use tiersim_profile::export;
 
 fn main() {
-    let cli = Cli::from_env();
+    let cli = Cli::from_env_standalone();
     banner("trace dump (artifact CSV layout)", &cli);
+    let mut text = String::new();
     for kernel in Kernel::PAPER {
         for dataset in Dataset::ALL {
             let w = cli.experiment.workload(kernel, dataset);
@@ -42,13 +43,16 @@ fn main() {
                 Tier::Nvm,
             )
             .unwrap();
-            println!(
-                "{}: {} samples, {} allocations -> {}/",
+            let line = format!(
+                "{}: {} samples, {} allocations -> {}/\n",
                 w.name(),
                 r.samples.len(),
                 r.tracker.len(),
                 dir.display()
             );
+            print!("{line}");
+            text.push_str(&line);
         }
     }
+    cli.maybe_write_out(&text);
 }

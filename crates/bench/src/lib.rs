@@ -1,9 +1,9 @@
 //! # tiersim-bench — reproduction harness
 //!
-//! One binary per paper table/figure (`table1_access_location`,
-//! `fig03_sample_distribution`, …, `fig11_object_vs_autonuma`, plus
-//! `repro_all`), each printing the same rows/series the paper reports,
-//! and Criterion micro/macro benchmarks under `benches/`.
+//! `repro_all` renders Tables 1–3 and Figures 3–11 from six shared
+//! AutoNUMA runs, or only the sections `--only` names.
+//! `ext_dynamic_object`, `ext_dataset_locality` and `trace_dump` run
+//! experiments of their own. Criterion benchmarks live under `benches/`.
 //!
 //! All binaries accept:
 //!
@@ -15,8 +15,6 @@
 //!                   (default: available parallelism; output bytes are
 //!                   identical for every value)
 //! --out PATH        also write the printed output to a file
-//! --trace PATH      record the AutoNUMA event trace and write it here as
-//!                   JSONL (or CSV when PATH ends in .csv); see DESIGN.md §11
 //! --tick-budget N   quarantine any cell whose run exceeds N OS engine
 //!                   ticks (0 = off); deterministic, no wall clock
 //! --thp             enable transparent huge pages: khugepaged-style 2 MiB
@@ -24,17 +22,20 @@
 //!                   machine (DESIGN.md §15)
 //! ```
 //!
-//! `repro_all` additionally accepts the crash-safe sweep flags
-//! (DESIGN.md §13):
+//! `repro_all` also accepts the suite flags, which the other binaries
+//! reject (exit 2) rather than ignore:
 //!
 //! ```text
-//! --resume PATH       run the suite against the durable journal at PATH:
-//!                     created if absent, replayed if present — completed
-//!                     cells are never re-executed
+//! --only IDS          print only these sections (fig3 … fig11, table1 …
+//!                     table3) and run only the cells that render them
+//! --trace PATH        write the Figure 9/10 run's AutoNUMA event trace as
+//!                     JSONL, or CSV for a .csv PATH (DESIGN.md §11)
+//! --inject-failure    add a deliberately failing experiment
+//! --resume PATH       run against the durable journal at PATH, created if
+//!                     absent: completed cells replay, never re-run (§13)
 //! --kill-at N         die (exit 137) instead of performing the Nth
 //!                     journal append; requires --resume
-//! --max-attempts N    attempts per cell per session before quarantine
-//!                     (default 3)
+//! --max-attempts N    attempts per cell per session (default 3)
 //! ```
 //!
 //! `repro_all tune` runs the AutoNUMA knob auto-tuner service instead
@@ -47,6 +48,7 @@ pub mod tune_cli;
 
 pub use tune_cli::{run_tune_cli, TuneCli, TUNE_USAGE};
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use tiersim_core::experiments::{AutonumaTrace, Characterization, Comparison, ObjectAnalysis};
@@ -80,6 +82,16 @@ pub struct Cli {
     pub kill_at: Option<u64>,
     /// Attempts per cell per session before quarantine (`--max-attempts`).
     pub max_attempts: u64,
+    /// The ids of the sections to print (`--only`; default all of them).
+    pub only: Vec<&'static str>,
+}
+
+/// Parses `flag`'s value `text` as a number.
+pub(crate) fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
 /// Parses `flag` into `experiment` when it is one of the testbed flags
@@ -90,12 +102,6 @@ pub(crate) fn parse_experiment_flag(
     flag: &str,
     value: impl FnOnce(&str) -> Result<String, String>,
 ) -> Result<bool, String> {
-    fn number<T: std::str::FromStr>(flag: &str, text: String) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        text.parse().map_err(|e| format!("bad {flag}: {e}"))
-    }
     match flag {
         "--scale" => experiment.scale = number(flag, value(flag)?)?,
         "--degree" => experiment.degree = number(flag, value(flag)?)?,
@@ -132,17 +138,14 @@ impl Cli {
             resume: None,
             kill_at: None,
             max_attempts: 3,
+            only: all_sections(),
         };
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             let mut value =
                 |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
             match arg.as_str() {
-                "--tick-budget" => {
-                    cli.experiment.tick_budget = value("--tick-budget")?
-                        .parse()
-                        .map_err(|e| format!("bad --tick-budget: {e}"))?;
-                }
+                "--tick-budget" => cli.experiment.tick_budget = number(&arg, value(&arg)?)?,
                 "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
                 "--trace" => {
                     cli.trace_out = Some(PathBuf::from(value("--trace")?));
@@ -151,16 +154,9 @@ impl Cli {
                 "--thp" => cli.experiment.thp = true,
                 "--inject-failure" => cli.inject_failure = true,
                 "--resume" => cli.resume = Some(PathBuf::from(value("--resume")?)),
-                "--kill-at" => {
-                    cli.kill_at = Some(
-                        value("--kill-at")?.parse().map_err(|e| format!("bad --kill-at: {e}"))?,
-                    );
-                }
-                "--max-attempts" => {
-                    cli.max_attempts = value("--max-attempts")?
-                        .parse()
-                        .map_err(|e| format!("bad --max-attempts: {e}"))?;
-                }
+                "--kill-at" => cli.kill_at = Some(number(&arg, value(&arg)?)?),
+                "--max-attempts" => cli.max_attempts = number(&arg, value(&arg)?)?,
+                "--only" => cli.only = parse_only(&value("--only")?)?,
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => {
                     if !parse_experiment_flag(&mut cli.experiment, other, value)? {
@@ -179,18 +175,36 @@ impl Cli {
         if cli.kill_at == Some(0) {
             return Err("--kill-at must be at least 1".to_string());
         }
+        if cli.trace_out.is_some() && !wants(&cli.only, AUTONUMA_TRACE) {
+            return Err("--trace records the Figure 9/10 run: --only needs fig9 or fig10".into());
+        }
         Ok(cli)
+    }
+
+    /// [`Cli::parse`] for a binary that runs an experiment of its own
+    /// rather than the suite: the suite flags are errors there, not
+    /// silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cli::parse`], and names the first suite flag given.
+    pub fn parse_standalone(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+        let args: Vec<String> = args.into_iter().collect();
+        if let Some(flag) = args.iter().find(|a| SUITE_FLAGS.contains(&a.as_str())) {
+            return Err(format!("{flag} is a repro_all flag; this binary does not read it"));
+        }
+        Cli::parse(args)
     }
 
     /// Parses the process arguments, exiting with usage on error.
     pub fn from_env() -> Cli {
-        match Cli::parse(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        exit_on_error(Cli::parse(std::env::args().skip(1)))
+    }
+
+    /// [`Cli::parse_standalone`] over the process arguments, exiting with
+    /// usage on error.
+    pub fn from_env_standalone() -> Cli {
+        exit_on_error(Cli::parse_standalone(std::env::args().skip(1)))
     }
 
     /// The journal runner knobs these options imply. Suite-level cells
@@ -243,10 +257,63 @@ impl Cli {
     }
 }
 
+/// The parsed options, or the error printed and exit code 2.
+fn exit_on_error(cli: Result<Cli, String>) -> Cli {
+    cli.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
 /// Usage text shared by the binaries.
 pub const USAGE: &str = "usage: <bin> [--scale N] [--degree N] [--trials N] [--jobs N] \
-     [--out PATH] [--trace PATH] [--tick-budget N] [--thp] [--inject-failure] \
-     [--resume PATH] [--kill-at N] [--max-attempts N]";
+     [--out PATH] [--tick-budget N] [--thp]; repro_all also: [--only ID,...] [--trace PATH] \
+     [--inject-failure] [--resume PATH] [--kill-at N] [--max-attempts N]";
+
+/// The flags only the `repro_all` suite reads.
+const SUITE_FLAGS: [&str; 6] =
+    ["--only", "--trace", "--inject-failure", "--resume", "--kill-at", "--max-attempts"];
+
+/// The paper's tables and figures in print order: each one's `--only` id
+/// and section title.
+pub const SECTIONS: [(&str, &str); 12] = [
+    ("fig3", "Figure 3: sample distribution across levels"),
+    ("fig4", "Figure 4: page touch-count histogram"),
+    ("fig5", "Figure 5: 2-touch reuse intervals (hottest NVM object)"),
+    ("table1", "Table 1: external access location"),
+    ("table2", "Table 2: external latency cost split"),
+    ("table3", "Table 3: external access cost by TLB outcome"),
+    ("fig6", "Figure 6: top objects by external samples (bc_kron)"),
+    ("fig7", "Figure 7: allocation timeline (bc_kron)"),
+    ("fig8", "Figure 8: hottest NVM object access pattern (bc_kron)"),
+    ("fig9", "Figure 9: memory usage and counters over time (bc_kron)"),
+    ("fig10", "Figure 10: DRAM loads vs promotions (bc_kron)"),
+    ("fig11", "Figure 11: object-level static mapping vs AutoNUMA"),
+];
+
+/// The [`SECTIONS`] each suite cell renders.
+const CHARACTERIZATION: Range<usize> = 0..6;
+const OBJECT_ANALYSIS: Range<usize> = 6..9;
+const AUTONUMA_TRACE: Range<usize> = 9..11;
+const COMPARISON: Range<usize> = 11..12;
+
+/// Every section id, in print order: what `--only` defaults to.
+pub fn all_sections() -> Vec<&'static str> {
+    SECTIONS.iter().map(|&(id, _)| id).collect()
+}
+
+/// Whether `only` names one of `sections`.
+fn wants(only: &[&str], sections: Range<usize>) -> bool {
+    SECTIONS[sections].iter().any(|(id, _)| only.contains(id))
+}
+
+/// Parses `--only`'s comma list of section ids.
+fn parse_only(list: &str) -> Result<Vec<&'static str>, String> {
+    let known = |id: &str| all_sections().into_iter().find(|&known| known == id);
+    list.split(',')
+        .map(|id| known(id).ok_or_else(|| format!("unknown --only id: {id:?}\n{USAGE}")))
+        .collect()
+}
 
 /// The traced run's rendered exports, precomputed so a resumed suite can
 /// reproduce `--trace` output from the journal without re-running the
@@ -285,6 +352,7 @@ pub struct ExperimentSuite {
     failures: Vec<(String, String)>,
     trace: Option<TraceExports>,
     cell_stats: Option<JournalStats>,
+    autonuma_runs: usize,
 }
 
 impl ExperimentSuite {
@@ -345,6 +413,12 @@ impl ExperimentSuite {
     /// Degraded-mode cell accounting, if this suite ran journaled.
     pub fn cell_stats(&self) -> Option<&JournalStats> {
         self.cell_stats.as_ref()
+    }
+
+    /// How many of the six AutoNUMA paper runs this session made: fewer
+    /// under `--only`, none when a journal replayed every cell.
+    pub fn autonuma_runs(&self) -> usize {
+        self.autonuma_runs
     }
 
     /// The recorded `(experiment, error)` pairs.
@@ -423,6 +497,11 @@ impl AutonumaRuns {
         tiersim_core::sweep::run_cells(self.cfg.jobs, cells).into_iter().collect()
     }
 
+    /// How many runs have been made.
+    fn made(&self) -> usize {
+        self.slots.iter().filter(|(_, slot)| slot.get().is_some()).count()
+    }
+
     fn report<'a>(
         &self,
         (w, slot): &'a (WorkloadConfig, RunSlot),
@@ -439,90 +518,87 @@ type CellOutput = (Vec<(String, String)>, Option<TraceExports>);
 /// One suite cell's body: an experiment rendered from the shared runs.
 type CellFn = fn(&AutonumaRuns) -> Result<CellOutput, CoreError>;
 
-/// The suite: the optional `--inject-failure` cell, then the four
-/// experiments. Both executors run exactly this list, and the names are
-/// the journal's cell names.
-fn suite_cells(inject_failure: bool) -> Vec<(&'static str, CellFn)> {
+/// The suite: the optional `--inject-failure` cell, then each experiment
+/// that renders a section in `only`. Both executors run exactly this
+/// list, and the names are the journal's cell names.
+fn suite_cells(inject_failure: bool, only: &[&str]) -> Vec<(&'static str, CellFn)> {
     let mut cells: Vec<(&'static str, CellFn)> = Vec::new();
     if inject_failure {
         // Deliberate failure to exercise the continue-on-failure path:
         // every later cell must still run and the exit code must be 1.
         cells.push(("injected failure", |_| Err(injected_failure())));
     }
-    cells.extend([
-        ("characterization", characterization_sections as CellFn),
-        ("object analysis", object_analysis_sections),
-        ("autonuma trace", autonuma_trace_sections),
-        ("comparison", comparison_sections),
-    ]);
+    let experiments: [(&'static str, Range<usize>, CellFn); 4] = [
+        ("characterization", CHARACTERIZATION, characterization_sections),
+        ("object analysis", OBJECT_ANALYSIS, object_analysis_sections),
+        ("autonuma trace", AUTONUMA_TRACE, autonuma_trace_sections),
+        ("comparison", COMPARISON, comparison_sections),
+    ];
+    for (name, sections, cell) in experiments {
+        if wants(only, sections) {
+            cells.push((name, cell));
+        }
+    }
     cells
+}
+
+/// Pairs the bodies of `sections` with their titles.
+fn titled(
+    sections: Range<usize>,
+    bodies: impl IntoIterator<Item = String>,
+) -> Vec<(String, String)> {
+    SECTIONS[sections]
+        .iter()
+        .zip(bodies)
+        .map(|(&(_, title), body)| (title.to_string(), body))
+        .collect()
 }
 
 /// Tables 1–3 and Figures 3–5, over all six runs.
 fn characterization_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
     let c = Characterization::from_reports(&runs.cfg, runs.all()?);
-    let sections = vec![
-        ("Figure 3: sample distribution across levels".to_string(), c.render_fig3()),
-        ("Figure 4: page touch-count histogram".to_string(), c.render_fig4()),
-        ("Figure 5: 2-touch reuse intervals (hottest NVM object)".to_string(), c.render_fig5()),
-        ("Table 1: external access location".to_string(), c.render_table1()),
-        ("Table 2: external latency cost split".to_string(), c.render_table2()),
-        ("Table 3: external access cost by TLB outcome".to_string(), c.render_table3()),
+    let bodies = [
+        c.render_fig3(),
+        c.render_fig4(),
+        c.render_fig5(),
+        c.render_table1(),
+        c.render_table2(),
+        c.render_table3(),
     ];
-    Ok((sections, None))
+    Ok((titled(CHARACTERIZATION, bodies), None))
 }
 
 /// Figures 6–8, over the bc_kron run.
 fn object_analysis_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
     let a = ObjectAnalysis::from_report(&runs.cfg, runs.get(Kernel::Bc, Dataset::Kron)?);
-    let mut out = vec![(
-        "Figure 6: top objects by external samples (bc_kron)".to_string(),
-        a.render_fig6(10),
-    )];
-    if let Some(secs) = a.hottest_nvm_alloc_secs() {
-        let body = format!(
-            "peak live {:.2} MB over {} events; hottest NVM object allocated at t={secs:.4}s\n",
-            a.fig7().peak_bytes() as f64 / (1 << 20) as f64,
-            a.fig7().points.len(),
-        );
-        out.push(("Figure 7: allocation timeline (bc_kron)".to_string(), body));
-    }
-    if let Some(p) = a.fig8() {
-        let body = format!(
-            "{} samples, randomness metric {:.3}\n",
-            p.points.len(),
-            p.randomness().unwrap_or(0.0)
-        );
-        out.push(("Figure 8: hottest NVM object access pattern (bc_kron)".to_string(), body));
-    }
-    Ok((out, None))
+    let bodies = [a.render_fig6(10), a.render_fig7(), a.render_fig8()];
+    Ok((titled(OBJECT_ANALYSIS, bodies), None))
 }
 
 /// Figures 9–10 over the bc_kron run, plus its event-trace exports when
 /// tracing was enabled: it is the suite's traced run.
 fn autonuma_trace_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
     let tr = AutonumaTrace::from_report(&runs.cfg, runs.get(Kernel::Bc, Dataset::Kron)?);
-    let sections = vec![
-        ("Figure 9: memory usage and counters over time (bc_kron)".to_string(), tr.render_fig9()),
-        ("Figure 10: DRAM loads vs promotions (bc_kron)".to_string(), tr.render_fig10()),
-    ];
+    let bodies = [tr.render_fig9(), tr.render_fig10()];
     let trace = (!tr.report.trace.is_empty()).then(|| TraceExports::from_log(&tr.report.trace));
-    Ok((sections, trace))
+    Ok((titled(AUTONUMA_TRACE, bodies), trace))
 }
 
 /// Figure 11: the static object mapping planned from each of the six runs.
 fn comparison_sections(runs: &AutonumaRuns) -> Result<CellOutput, CoreError> {
     let cmp = Comparison::from_reports(&runs.cfg, &runs.all()?)?;
-    let title = "Figure 11: object-level static mapping vs AutoNUMA".to_string();
-    Ok((vec![(title, cmp.render())], None))
+    Ok((titled(COMPARISON, [cmp.render()]), None))
 }
 
-/// Adds a completed cell's sections (printing each as it lands) and trace
-/// exports to `suite`: the assembly step both executors share.
-fn add_cell(suite: &mut ExperimentSuite, cell: Option<CellOutput>) {
+/// Adds a completed cell's sections that `only` names (printing each as
+/// it lands) and its trace exports to `suite`: the assembly step both
+/// executors share. Payloads keep them all, so a journal serves any `only`.
+fn add_cell(suite: &mut ExperimentSuite, cell: Option<CellOutput>, only: &[&str]) {
     let Some((sections, trace)) = cell else { return };
     for (title, body) in &sections {
-        println!("{}", suite.section(title, body));
+        if SECTIONS.iter().any(|(id, known)| known == title && only.contains(id)) {
+            println!("{}", suite.section(title, body));
+        }
     }
     if trace.is_some() {
         suite.trace = trace;
@@ -541,12 +617,24 @@ fn add_cell(suite: &mut ExperimentSuite, cell: Option<CellOutput>) {
 /// in `tests/parallel_sweep.rs` holds this function to that contract —
 /// and to [`run_suite_journaled`]'s.
 pub fn run_repro_suite(experiment: &ExperimentConfig, inject_failure: bool) -> ExperimentSuite {
+    run_repro_sections(experiment, inject_failure, &all_sections())
+}
+
+/// [`run_repro_suite`] for the section ids in `only` (`repro_all --only`):
+/// it runs only the cells, and so the AutoNUMA runs, those sections need,
+/// and records them byte for byte as the full suite does.
+pub fn run_repro_sections(
+    experiment: &ExperimentConfig,
+    inject_failure: bool,
+    only: &[&str],
+) -> ExperimentSuite {
     let runs = AutonumaRuns::new(experiment);
     let mut suite = ExperimentSuite::new();
-    for (name, cell) in suite_cells(inject_failure) {
+    for (name, cell) in suite_cells(inject_failure, only) {
         let out = suite.attempt(name, || cell(&runs));
-        add_cell(&mut suite, out);
+        add_cell(&mut suite, out, only);
     }
+    suite.autonuma_runs = runs.made();
     suite
 }
 
@@ -604,8 +692,9 @@ fn cell_error(e: CoreError) -> CellError {
     CellError { class, message: e.to_string() }
 }
 
-/// The journaled variant of [`run_repro_suite`]: the same cells, each one
-/// durable cell in the write-ahead journal at `journal` (DESIGN.md §13).
+/// The journaled variant of [`run_repro_sections`]: the same cells, each
+/// one durable cell in the write-ahead journal at `journal` (DESIGN.md
+/// §13). Pass [`all_sections`] for the whole suite.
 ///
 /// The journal is created if absent and replayed if present — completed
 /// cells return their recorded payload without re-executing, failed cells
@@ -629,9 +718,10 @@ pub fn run_suite_journaled(
     journal: &Path,
     opts: RunnerOptions,
     inject_failure: bool,
+    only: &[&str],
 ) -> Result<ExperimentSuite, JournalError> {
     let runs = Arc::new(AutonumaRuns::new(experiment));
-    let cells = suite_cells(inject_failure)
+    let cells = suite_cells(inject_failure, only)
         .into_iter()
         .map(|(name, cell)| {
             let runs = Arc::clone(&runs);
@@ -655,9 +745,10 @@ pub fn run_suite_journaled(
             CellOutcome::Quarantined { error, .. } => Err(format!("quarantined: {error}")),
         };
         let out = suite.record(name, result);
-        add_cell(&mut suite, out);
+        add_cell(&mut suite, out, only);
     }
     suite.set_cell_stats(outcome.stats);
+    suite.autonuma_runs = runs.made();
     Ok(suite)
 }
 
@@ -749,6 +840,71 @@ mod tests {
         assert!(parse(&["--max-attempts", "0"]).is_err());
         assert!(parse(&["--tick-budget", "many"]).is_err());
         assert_eq!(parse(&["--tick-budget", "5000"]).unwrap().experiment.tick_budget, 5000);
+    }
+
+    #[test]
+    fn parses_and_validates_only() {
+        assert_eq!(parse(&[]).unwrap().only, all_sections());
+        assert_eq!(
+            parse(&["--only", "fig6,table2,fig11"]).unwrap().only,
+            ["fig6", "table2", "fig11"]
+        );
+        let want = "fig3 fig4 fig5 table1 table2 table3 fig6 fig7 fig8 fig9 fig10 fig11";
+        assert_eq!(all_sections().join(" "), want);
+        for bad in ["fig12", "Fig6", "fig6,", "", "figure6"] {
+            let err = parse(&["--only", bad]).unwrap_err();
+            assert!(err.contains("unknown --only id") && err.contains(USAGE), "{bad}: {err}");
+        }
+        assert!(parse(&["--only"]).is_err());
+        // The trace is the Figure 9/10 run's: --only must keep that cell.
+        assert!(parse(&["--trace", "t.jsonl", "--only", "fig6"]).is_err());
+        assert!(parse(&["--trace", "t.jsonl", "--only", "fig6,fig10"]).is_ok());
+    }
+
+    #[test]
+    fn standalone_binaries_reject_suite_flags() {
+        let standalone = |args: &[&str]| Cli::parse_standalone(args.iter().map(|s| s.to_string()));
+        for args in [
+            &["--only", "fig6"][..],
+            &["--trace", "t.jsonl"],
+            &["--inject-failure"],
+            &["--resume", "j"],
+            &["--resume", "j", "--kill-at", "2"],
+            &["--max-attempts", "3"],
+        ] {
+            let err = standalone(args).unwrap_err();
+            assert!(err.starts_with(&format!("{} is a repro_all flag", args[0])), "{err}");
+        }
+        let cli = standalone(&["--scale", "9", "--out", "x.txt", "--thp", "--tick-budget", "5"]);
+        assert_eq!(cli.unwrap().experiment.scale, 9);
+        assert!(standalone(&["--bogus"]).is_err());
+    }
+
+    #[test]
+    fn only_runs_the_cells_that_own_a_requested_section() {
+        let names = |inject, only: &[&str]| -> Vec<&str> {
+            suite_cells(inject, only).into_iter().map(|(name, _)| name).collect()
+        };
+        let all = ["characterization", "object analysis", "autonuma trace", "comparison"];
+        assert_eq!(names(false, &all_sections()), all);
+        assert_eq!(names(false, &["fig7"]), ["object analysis"]);
+        assert_eq!(names(false, &["fig11", "table3"]), ["characterization", "comparison"]);
+        assert_eq!(names(true, &["fig10"]), ["injected failure", "autonuma trace"]);
+        // Every section has exactly one owning cell, in print order.
+        let owned = [CHARACTERIZATION, OBJECT_ANALYSIS, AUTONUMA_TRACE, COMPARISON];
+        let covered: Vec<usize> = owned.into_iter().flatten().collect();
+        assert_eq!(covered, Vec::from_iter(0..SECTIONS.len()));
+    }
+
+    #[test]
+    fn a_bc_kron_section_makes_only_the_bc_kron_run() {
+        let cfg =
+            ExperimentConfig { scale: 8, degree: 8, trials: 1, jobs: 2, ..Default::default() };
+        let suite = run_repro_sections(&cfg, false, &["fig6"]);
+        assert_eq!(suite.autonuma_runs(), 1);
+        assert!(suite.output().starts_with(&format!("--- {} ---\n", SECTIONS[6].1)));
+        assert_eq!(suite.output().matches("\n--- ").count(), 0, "one section only");
+        assert_eq!(suite.summary(), "== 1/1 experiments completed ==\n");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use tiersim_core::journal::{KillMode, KillSpec, RunnerOptions};
 use tiersim_core::tune::{run_tune, GridSpec, TuneConfig};
 use tiersim_core::{Dataset, ExperimentConfig, Kernel};
 
-use crate::{check_experiment, parse_experiment_flag, TraceExports};
+use crate::{check_experiment, number, parse_experiment_flag, TraceExports};
 
 /// Usage text for `repro_all tune`.
 pub const TUNE_USAGE: &str = "usage: repro_all tune [--workload NAME] [--grid tiny|paper] \
@@ -111,25 +111,11 @@ impl TuneCli {
                         other => return Err(format!("bad --grid {other}: tiny or paper")),
                     };
                 }
-                "--rung-budget" => {
-                    cli.rung_budget = value("--rung-budget")?
-                        .parse()
-                        .map_err(|e| format!("bad --rung-budget: {e}"))?;
-                }
-                "--finalists" => {
-                    cli.finalists = value("--finalists")?
-                        .parse()
-                        .map_err(|e| format!("bad --finalists: {e}"))?;
-                }
-                "--seed" => {
-                    cli.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?;
-                }
+                "--rung-budget" => cli.rung_budget = number(&arg, value(&arg)?)?,
+                "--finalists" => cli.finalists = number(&arg, value(&arg)?)?,
+                "--seed" => cli.seed = number(&arg, value(&arg)?)?,
                 "--resume" => cli.journal = PathBuf::from(value("--resume")?),
-                "--kill-at" => {
-                    cli.kill_at = Some(
-                        value("--kill-at")?.parse().map_err(|e| format!("bad --kill-at: {e}"))?,
-                    );
-                }
+                "--kill-at" => cli.kill_at = Some(number(&arg, value(&arg)?)?),
                 "--out-json" => cli.out_json = Some(PathBuf::from(value("--out-json")?)),
                 "--out-csv" => cli.out_csv = Some(PathBuf::from(value("--out-csv")?)),
                 "--trace" => cli.trace_out = Some(PathBuf::from(value("--trace")?)),

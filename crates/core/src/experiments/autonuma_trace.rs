@@ -101,8 +101,10 @@ impl<R: Deref<Target = RunReport>> AutonumaTrace<R> {
             .collect()
     }
 
-    /// Figure 10 rows: DRAM load samples per window joined with
-    /// promotions per window.
+    /// Figure 10 rows: DRAM load samples and pages promoted per window.
+    /// The windows are as wide as the first snapshot interval; each
+    /// snapshot's promotions land in the window holding its time, so the
+    /// column sums to the run's `pgpromote_success`.
     pub fn fig10(&self) -> Vec<Fig10Row> {
         let snaps = &self.report.timeline;
         if snaps.is_empty() {
@@ -112,16 +114,22 @@ impl<R: Deref<Target = RunReport>> AutonumaTrace<R> {
         let loads = binned_counts(&self.report.samples, bin, self.freq_hz, |s| {
             !s.is_store && s.level == MemLevel::Dram
         });
-        let promos = snaps.counter_deltas(|c| c.pgpromote_success);
-        loads
+        let mut rows: Vec<Fig10Row> = loads
             .into_iter()
-            .enumerate()
-            .map(|(i, (t, dram_loads))| Fig10Row {
-                time_secs: t,
-                dram_loads,
-                promotions: promos.get(i).map_or(0, |&(_, p)| p),
-            })
-            .collect()
+            .map(|(time_secs, dram_loads)| Fig10Row { time_secs, dram_loads, promotions: 0 })
+            .collect();
+        for (t, promoted) in snaps.counter_deltas(|c| c.pgpromote_success) {
+            if promoted == 0 {
+                continue;
+            }
+            let i = (t / bin) as usize;
+            while rows.len() <= i {
+                let time_secs = rows.len() as f64 * bin;
+                rows.push(Fig10Row { time_secs, dram_loads: 0, promotions: 0 });
+            }
+            rows[i].promotions += promoted;
+        }
+        rows
     }
 
     /// Renders Figure 9 as a text table.
@@ -189,5 +197,17 @@ mod tests {
         assert!(f10.iter().any(|r| r.dram_loads > 0));
         assert!(tr.render_fig9().lines().count() >= 5);
         assert!(tr.render_fig10().lines().count() >= 3);
+    }
+
+    #[test]
+    fn fig10_promotions_sum_to_the_run_total() {
+        // Scale 13 with two trials promotes 17 pages, after the first
+        // snapshots (which all show 0).
+        let cfg = ExperimentConfig { scale: 13, trials: 2, ..tiny_config() };
+        let tr = AutonumaTrace::run(&cfg).unwrap();
+        let total = tr.report.counters.pgpromote_success;
+        assert!(total > 0, "the run must promote for this check to mean anything");
+        let promoted: u64 = tr.fig10().iter().map(|r| r.promotions).sum();
+        assert_eq!(promoted, total);
     }
 }

@@ -7,7 +7,7 @@ use crate::report::RunReport;
 use crate::runner::{plan_from_report, run_workload};
 use crate::workload::Kernel;
 use std::ops::Deref;
-use tiersim_policy::TieringMode;
+use tiersim_policy::{StaticPlan, TieringMode};
 
 /// One bar of Figure 11.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +71,8 @@ impl Comparison {
 
     /// The comparison over the six AutoNUMA reports of `cfg`: each row
     /// runs only its static mapping, and the CC workloads add a spill row.
+    /// A spill plan equal to the whole-object plan is not run again: its
+    /// row reads the whole-object run.
     ///
     /// # Errors
     ///
@@ -79,19 +81,28 @@ impl Comparison {
         cfg: &ExperimentConfig,
         reports: &[R],
     ) -> Result<Comparison, CoreError> {
-        // The sweep executor returns rows in order, so the first error is
+        // The sweep executor returns cells in order, so the first error is
         // the one a serial loop would hit.
+        let base = cfg.machine(TieringMode::AutoNuma);
         let cells: Vec<_> = reports
             .iter()
             .flat_map(|auto| {
-                let spill_row = (auto.workload.kernel == Kernel::Cc).then_some((auto, true));
-                [(auto, false)].into_iter().chain(spill_row)
+                let whole = plan_from_report(auto, &base, false);
+                let spill = (auto.workload.kernel == Kernel::Cc)
+                    .then(|| plan_from_report(auto, &base, true));
+                static_runs(whole, spill).into_iter().map(move |run| (&**auto, run))
             })
-            .map(|(auto, spill)| move || Self::compare(cfg, auto, spill))
+            .map(|(auto, (plan, spills))| {
+                move || -> Result<Vec<Fig11Row>, CoreError> {
+                    let stat = Self::run_static(cfg, auto, plan)?;
+                    Ok(spills.iter().map(|&spill| Self::pair_row(auto, &stat, spill)).collect())
+                }
+            })
             .collect();
-        let rows =
-            crate::sweep::run_cells(cfg.jobs, cells).into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(Comparison { rows })
+        let rows: Vec<Vec<Fig11Row>> = crate::sweep::run_cells(cfg.jobs, cells)
+            .into_iter()
+            .collect::<Result<_, CoreError>>()?;
+        Ok(Comparison { rows: rows.concat() })
     }
 
     /// Runs the static mapping planned from one AutoNUMA report and builds
@@ -105,15 +116,25 @@ impl Comparison {
         auto: &RunReport,
         spill: bool,
     ) -> Result<Fig11Row, CoreError> {
-        let workload = auto.workload;
-        let base = cfg.machine(TieringMode::AutoNuma);
-        let plan = plan_from_report(auto, &base, spill);
-        let mut static_cfg = base;
-        static_cfg.mode = TieringMode::StaticObject(plan);
-        let stat = run_workload(static_cfg, workload)?;
-        let name = if spill { format!("{}*", workload.name()) } else { workload.name() };
-        Ok(Fig11Row {
-            workload: name,
+        let plan = plan_from_report(auto, &cfg.machine(TieringMode::AutoNuma), spill);
+        let stat = Self::run_static(cfg, auto, plan)?;
+        Ok(Self::pair_row(auto, &stat, spill))
+    }
+
+    /// Runs `auto`'s workload on `cfg`'s machine under the static `plan`.
+    fn run_static(
+        cfg: &ExperimentConfig,
+        auto: &RunReport,
+        plan: StaticPlan,
+    ) -> Result<RunReport, CoreError> {
+        run_workload(cfg.machine(TieringMode::StaticObject(plan)), auto.workload)
+    }
+
+    /// The row pairing an AutoNUMA run with its static run.
+    fn pair_row(auto: &RunReport, stat: &RunReport, spill: bool) -> Fig11Row {
+        let name = auto.workload.name();
+        Fig11Row {
+            workload: if spill { format!("{name}*") } else { name },
             autonuma_secs: auto.total_secs,
             static_secs: stat.total_secs,
             autonuma_trial_secs: auto.exec_secs(),
@@ -121,7 +142,7 @@ impl Comparison {
             autonuma_nvm_samples: auto.nvm_samples(),
             static_nvm_samples: stat.nvm_samples(),
             spill,
-        })
+        }
     }
 
     /// Mean improvement across non-spill rows (the paper reports 21%
@@ -174,6 +195,17 @@ impl Comparison {
     }
 }
 
+/// The static runs one AutoNUMA report needs, each with the spill flags of
+/// the rows it yields: the whole-object plan, and the spill plan only when
+/// it differs, since an equal plan would simulate the same cell twice.
+fn static_runs(whole: StaticPlan, spill: Option<StaticPlan>) -> Vec<(StaticPlan, Vec<bool>)> {
+    match spill {
+        Some(spill) if spill == whole => vec![(whole, vec![false, true])],
+        Some(spill) => vec![(whole, vec![false]), (spill, vec![true])],
+        None => vec![(whole, vec![false])],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +222,27 @@ mod tests {
         assert!(row.static_secs > 0.0);
         assert!(!row.spill);
         assert!(row.workload == "bfs_kron");
+        // The static run `compare` makes: the planned mapping, no migration.
+        let plan = plan_from_report(&auto, &cfg.machine(TieringMode::AutoNuma), false);
+        let stat = Comparison::run_static(&cfg, &auto, plan).unwrap();
+        assert_eq!(auto.mode_name, "autonuma");
+        assert_eq!(stat.mode_name, "static_object");
+        assert!(stat.counters.no_migrations(), "static mapping never migrates");
+        assert_eq!(row, Comparison::pair_row(&auto, &stat, false));
+    }
+
+    #[test]
+    fn equal_spill_plan_builds_no_spill_cell() {
+        let plan = |label: &str| {
+            let mut placement = tiersim_policy::ObjectPlacement::new();
+            placement.insert(label, tiersim_policy::Placement::Dram);
+            StaticPlan { placement, dram_used: 1, dram_budget: 2, spilled_label: None }
+        };
+        let runs = static_runs(plan("a"), Some(plan("a")));
+        assert_eq!(runs, vec![(plan("a"), vec![false, true])], "one run yields both rows");
+        let runs = static_runs(plan("a"), Some(plan("b")));
+        assert_eq!(runs, vec![(plan("a"), vec![false]), (plan("b"), vec![true])]);
+        assert_eq!(static_runs(plan("a"), None), vec![(plan("a"), vec![false])]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Each experiment is a view over scaled-down AutoNUMA runs of the paper's
 //! six workloads (BC/BFS/CC × kron/urand), so experiments can share runs;
-//! each `run` makes its own. `tiersim-bench` has one binary each.
+//! each `run` makes its own. `tiersim-bench`'s `repro_all` renders every
+//! table and figure from one shared set of runs (`--only` picks sections).
 
 mod autonuma_trace;
 mod characterization;
@@ -27,8 +28,8 @@ use tiersim_policy::TieringMode;
 /// Shared experiment parameters.
 ///
 /// The defaults (scale 16, degree 16) keep a full six-workload
-/// characterization run in the tens of seconds; the reproduction binaries
-/// accept `--scale` to push toward the paper's regime.
+/// characterization run in the tens of seconds; `repro_all` accepts
+/// `--scale` to push toward the paper's regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Graph scale (`2^scale` vertices).

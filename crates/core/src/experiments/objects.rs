@@ -42,20 +42,7 @@ impl ObjectAnalysis {
     ///
     /// Propagates run errors.
     pub fn run(cfg: &ExperimentConfig) -> Result<ObjectAnalysis, CoreError> {
-        Self::run_workload(cfg, Kernel::Bc, Dataset::Kron)
-    }
-
-    /// Runs any kernel × dataset under AutoNUMA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates run errors.
-    pub fn run_workload(
-        cfg: &ExperimentConfig,
-        kernel: Kernel,
-        dataset: Dataset,
-    ) -> Result<ObjectAnalysis, CoreError> {
-        let report = cfg.run(cfg.workload(kernel, dataset), TieringMode::AutoNuma)?;
+        let report = cfg.run(cfg.workload(Kernel::Bc, Dataset::Kron), TieringMode::AutoNuma)?;
         Ok(ObjectAnalysis::from_report(cfg, Box::new(report)))
     }
 }
@@ -127,6 +114,55 @@ impl<R: Deref<Target = RunReport>> ObjectAnalysis<R> {
         }
         out
     }
+
+    /// Renders Figure 7 as text: live megabytes after each allocation
+    /// event, the peak, and when the hottest NVM object was allocated.
+    pub fn render_fig7(&self) -> String {
+        let tl = self.fig7();
+        let mb = |bytes: u64| bytes as f64 / (1 << 20) as f64;
+        let mut t = TextTable::new(vec!["t(s)", "live MB"]);
+        for &(secs, bytes) in &tl.points {
+            t.row(vec![format!("{secs:.4}"), format!("{:.2}", mb(bytes))]);
+        }
+        let mut out = t.render();
+        out.push_str(&format!("peak live: {:.2} MB\n", mb(tl.peak_bytes())));
+        if let Some(secs) = self.hottest_nvm_alloc_secs() {
+            out.push_str(&format!("hottest NVM object allocated at t = {secs:.4}s\n"));
+        }
+        out
+    }
+
+    /// Renders Figure 8 as text: the first 40 samples on the hottest NVM
+    /// object over its lifetime, then a 1 ms zoom from the middle sample
+    /// (the paper's one-second zoom, dilated) to show fine-grained
+    /// randomness.
+    pub fn render_fig8(&self) -> String {
+        const SHOWN: usize = 40;
+        let Some(pattern) = self.fig8() else {
+            return "no NVM samples recorded; raise the graph scale\n".to_string();
+        };
+        let mut out = format!(
+            "samples on hottest NVM object: {} (randomness metric {:.3})\n",
+            pattern.points.len(),
+            pattern.randomness().unwrap_or(0.0),
+        );
+        out.push_str("t(s)      page  thread\n");
+        for &(t, page, tid) in pattern.points.iter().take(SHOWN) {
+            out.push_str(&format!("{t:<8.4}  {page:<5} t{tid}\n"));
+        }
+        if pattern.points.len() > SHOWN {
+            out.push_str(&format!("... ({} more)\n", pattern.points.len() - SHOWN));
+        }
+        if let Some(&(mid, _, _)) = pattern.points.get(pattern.points.len() / 2) {
+            let z = pattern.zoom(mid, mid + 0.001);
+            out.push_str(&format!(
+                "zoom [{mid:.4}s, +1ms): {} samples, randomness {:.3}\n",
+                z.points.len(),
+                z.randomness().unwrap_or(0.0),
+            ));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -154,5 +190,11 @@ mod tests {
         let text = a.render_fig6(5);
         assert!(text.contains("DRAM samples"));
         assert!(text.contains("NVM samples"));
+        let text = a.render_fig7();
+        assert_eq!(text.lines().count(), tl.points.len() + 4, "header, rule, rows, peak, hottest");
+        assert!(text.contains("hottest NVM object allocated at t = "));
+        let text = a.render_fig8();
+        assert!(text.starts_with(&format!("samples on hottest NVM object: {}", p.points.len())));
+        assert!(text.contains("zoom ["));
     }
 }

@@ -49,7 +49,7 @@ pub use error::{CoreError, RunError};
 pub use experiments::ExperimentConfig;
 pub use machine::Machine;
 pub use report::RunReport;
-pub use runner::{generate, plan_from_report, run_autonuma_vs_static, run_workload};
+pub use runner::{generate, plan_from_report, run_workload};
 pub use tiersim_mem::{CycleWindow, FaultPlan, FaultStats, RATE_ONE};
 pub use tiersim_trace::{
     to_csv as trace_to_csv, to_jsonl as trace_to_jsonl, TraceConfig, TraceEvent, TraceLog,

@@ -10,7 +10,7 @@ use tiersim_graph::{
     sg_file_bytes, sssp, tc, BfsParams, EdgeList, KroneckerGenerator, PrParams, SimCsrGraph,
     SourcePicker, UniformGenerator,
 };
-use tiersim_policy::{aggregate_by_label, plan_static, StaticPlan, TieringMode};
+use tiersim_policy::{aggregate_by_label, plan_static, StaticPlan};
 
 /// Generates a workload's edge list (host-side; in the paper this is the
 /// offline GAPBS `converter` step that produces the `.sg` file).
@@ -228,32 +228,11 @@ pub fn plan_from_report(
     plan_static(&stats, budget, spill)
 }
 
-/// Convenience: run `workload` under AutoNUMA, then under the
-/// profile-derived static object plan. Returns `(autonuma, static)`
-/// reports. The AutoNUMA run doubles as the profiling run, as in the
-/// paper's offline methodology.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from either run.
-pub fn run_autonuma_vs_static(
-    workload: WorkloadConfig,
-    spill: bool,
-) -> Result<(RunReport, RunReport), CoreError> {
-    let base_cfg =
-        MachineConfig::scaled_default(workload.steady_app_bytes(), TieringMode::AutoNuma);
-    let auto = run_workload(base_cfg.clone(), workload)?;
-    let plan = plan_from_report(&auto, &base_cfg, spill);
-    let mut static_cfg = base_cfg;
-    static_cfg.mode = TieringMode::StaticObject(plan);
-    let stat = run_workload(static_cfg, workload)?;
-    Ok((auto, stat))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tiersim_graph::reference;
+    use tiersim_policy::TieringMode;
 
     fn tiny(kernel: Kernel, dataset: Dataset) -> WorkloadConfig {
         WorkloadConfig::new(kernel, dataset).scale(10).trials(2)
@@ -465,14 +444,5 @@ mod tests {
         // A budget the run never reaches must not perturb the simulation.
         assert_eq!(plain.total_secs, armed_high.total_secs);
         assert_eq!(plain.counters, armed_high.counters);
-    }
-
-    #[test]
-    fn static_plan_pipeline_runs() {
-        let w = tiny(Kernel::Bfs, Dataset::Kron);
-        let (auto, stat) = run_autonuma_vs_static(w, false).unwrap();
-        assert_eq!(auto.mode_name, "autonuma");
-        assert_eq!(stat.mode_name, "static_object");
-        assert!(stat.counters.no_migrations(), "static mapping never migrates");
     }
 }

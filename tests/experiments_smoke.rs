@@ -5,6 +5,7 @@
 use tiersim::core::experiments::{AutonumaTrace, Characterization, Comparison, ObjectAnalysis};
 use tiersim::core::{Dataset, ExperimentConfig, Kernel};
 use tiersim::mem::Tier;
+use tiersim::policy::TieringMode;
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -44,7 +45,9 @@ fn characterization_rows_are_consistent() {
 #[test]
 fn object_analysis_works_for_every_paper_workload() {
     for kernel in [Kernel::Bc, Kernel::Bfs, Kernel::Cc] {
-        let a = ObjectAnalysis::run_workload(&cfg(), kernel, Dataset::Kron).expect("run");
+        let report =
+            cfg().run(cfg().workload(kernel, Dataset::Kron), TieringMode::AutoNuma).expect("run");
+        let a = ObjectAnalysis::from_report(&cfg(), &report);
         // DRAM top objects exist for every workload; shares sum ≤ 1.
         let rows = a.fig6(Tier::Dram, 10);
         assert!(!rows.is_empty(), "{kernel:?}");

@@ -21,7 +21,7 @@ use tiersim::core::{
     run_workload, CoreError, Dataset, ExperimentConfig, Kernel, RunError, TraceConfig,
 };
 use tiersim::policy::TieringMode;
-use tiersim_bench::{run_repro_suite, run_suite_journaled, ExperimentSuite};
+use tiersim_bench::{all_sections, run_repro_suite, run_suite_journaled, ExperimentSuite};
 use tiersim_core::journal::{
     run_journaled, CellError, CellOutcome, FailureClass, JournalCell, JournalOutcome, KillMode,
     KillSpec, RunnerOptions,
@@ -176,8 +176,14 @@ fn suite_config(jobs: usize) -> ExperimentConfig {
 #[test]
 fn killed_and_resumed_repro_suite_is_byte_identical() {
     let clean_path = scratch("suite-clean");
-    let clean = run_suite_journaled(&suite_config(2), &clean_path, RunnerOptions::default(), false)
-        .expect("uninterrupted suite");
+    let clean = run_suite_journaled(
+        &suite_config(2),
+        &clean_path,
+        RunnerOptions::default(),
+        false,
+        &all_sections(),
+    )
+    .expect("uninterrupted suite");
     assert_eq!(clean.exit_code(), 0);
     let clean_stats = *clean.cell_stats().expect("journaled suite has cell stats");
     assert_eq!(clean_stats.completed, 4);
@@ -189,15 +195,21 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
         let kill = KillSpec { at_append: kill_at, torn: false, mode: KillMode::Panic };
         let opts = RunnerOptions { kill: Some(kill), ..Default::default() };
         let aborted = catch_unwind(AssertUnwindSafe(|| {
-            run_suite_journaled(&suite_config(2), &path, opts, false)
+            run_suite_journaled(&suite_config(2), &path, opts, false, &all_sections())
         }));
         assert!(
             aborted.expect_err("kill-point aborts the suite").is::<SweepAbort>(),
             "kill at append {kill_at} raises SweepAbort"
         );
 
-        let resumed = run_suite_journaled(&suite_config(4), &path, RunnerOptions::default(), false)
-            .expect("resumed suite");
+        let resumed = run_suite_journaled(
+            &suite_config(4),
+            &path,
+            RunnerOptions::default(),
+            false,
+            &all_sections(),
+        )
+        .expect("resumed suite");
         assert_eq!(resumed.output(), clean.output(), "output diverged (kill at {kill_at})");
         assert_eq!(resumed.summary(), clean.summary(), "summary diverged (kill at {kill_at})");
         assert_eq!(
@@ -220,8 +232,14 @@ fn killed_and_resumed_repro_suite_is_byte_identical() {
 fn plain_and_journaled_suites_agree() {
     let plain = run_repro_suite(&suite_config(2), false);
     let path = scratch("suite-agree");
-    let journaled = run_suite_journaled(&suite_config(2), &path, RunnerOptions::default(), false)
-        .expect("journaled suite");
+    let journaled = run_suite_journaled(
+        &suite_config(2),
+        &path,
+        RunnerOptions::default(),
+        false,
+        &all_sections(),
+    )
+    .expect("journaled suite");
     assert_eq!(plain.output(), journaled.output(), "drivers recorded different sections");
     assert!(plain.trace_exports().is_some(), "traced suite records exports");
     assert_eq!(plain.trace_exports(), journaled.trace_exports(), "trace exports diverged");
@@ -266,7 +284,8 @@ fn failing_workload_fails_only_the_experiments_that_read_it() {
     let path = scratch("isolation");
     let plain = run_repro_suite(&cfg, false);
     let journaled =
-        run_suite_journaled(&cfg, &path, RunnerOptions::default(), false).expect("journaled suite");
+        run_suite_journaled(&cfg, &path, RunnerOptions::default(), false, &all_sections())
+            .expect("journaled suite");
     for (suite, prefix) in [(&plain, ""), (&journaled, "quarantined: ")] {
         let summary = suite.summary();
         assert!(summary.starts_with("== 2/4 experiments completed ==\n"), "{summary}");

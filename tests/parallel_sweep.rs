@@ -10,7 +10,7 @@
 
 use tiersim::core::{run_workload, ExperimentConfig, MachineConfig, RunReport, TraceConfig};
 use tiersim::policy::TieringMode;
-use tiersim_bench::run_repro_suite;
+use tiersim_bench::{all_sections, run_repro_sections, run_repro_suite, SECTIONS};
 use tiersim_core::experiments::{Characterization, Comparison};
 use tiersim_core::journal::codec::fnv1a64;
 use tiersim_core::sweep;
@@ -63,7 +63,7 @@ fn repro_suite_output_is_byte_identical_across_jobs() {
         "suite output and results/golden_scale11.txt differ in length"
     );
     let digest = fnv1a64(serial.output().as_bytes());
-    assert_eq!(digest, 0x68f9_8959_2c47_04f2, "suite output changed: {digest:016x}");
+    assert_eq!(digest, 0xf127_e289_bad3_202f, "suite output changed: {digest:016x}");
 }
 
 /// The `--trace` export is part of the determinism contract: the traced
@@ -100,13 +100,63 @@ fn characterization_reports_match_across_jobs() {
 }
 
 /// The Figure 11 comparison (AutoNUMA/static pairs, including spill
-/// variants) renders identically at any worker count.
+/// variants) renders identically at any worker count, and keeps the
+/// paper's shape: the static mapping wins on average, and spilling never
+/// loses to whole-object placement on a CC row.
 #[test]
 fn comparison_rows_match_across_jobs() {
     let a = Comparison::run(&tiny(1)).expect("serial");
     let b = Comparison::run(&tiny(4)).expect("parallel");
     assert_eq!(a.rows, b.rows);
     assert_eq!(a.render(), b.render());
+    assert!(a.mean_improvement() > 0.0, "mean improvement {}", a.mean_improvement());
+    for spill in a.rows.iter().filter(|r| r.spill) {
+        let whole = a.row(spill.workload.trim_end_matches('*')).expect("whole-object row");
+        assert!(
+            spill.improvement() >= whole.improvement(),
+            "{}: spill {} < whole-object {}",
+            spill.workload,
+            spill.improvement(),
+            whole.improvement()
+        );
+    }
+}
+
+/// The text of section `id` within a suite output: its header line
+/// through the line before the next section's header.
+fn section_text<'a>(output: &'a str, id: &str) -> &'a str {
+    let header = |title: &str| format!("--- {title} ---\n");
+    let (_, title) = SECTIONS.iter().find(|(known, _)| *known == id).expect("known id");
+    let start = output.find(&header(title)).expect("section printed");
+    let end = SECTIONS
+        .iter()
+        .filter_map(|(_, title)| output.find(&header(title)))
+        .filter(|&at| at > start)
+        .min()
+        .unwrap_or(output.len());
+    &output[start..end]
+}
+
+/// `repro_all --only` records exactly the requested sections of the full
+/// run, in print order whatever the order asked, and makes only the
+/// AutoNUMA runs the owning cells read.
+#[test]
+fn only_records_the_requested_sections_of_the_full_run() {
+    let full = run_repro_suite(&tiny(2), false);
+    assert_eq!(full.autonuma_runs(), 6);
+    for (only, runs) in
+        [(&["fig11", "fig6"][..], 6), (&["fig6"], 1), (&["fig10"], 1), (&["table2"], 6)]
+    {
+        let part = run_repro_sections(&tiny(2), false, only);
+        let want: String = all_sections()
+            .into_iter()
+            .filter(|id| only.contains(id))
+            .map(|id| section_text(full.output(), id))
+            .collect();
+        assert_eq!(part.output(), want, "--only {only:?}");
+        assert_eq!(part.autonuma_runs(), runs, "--only {only:?}");
+        assert_eq!(part.exit_code(), 0);
+    }
 }
 
 /// Audit checkpoints (`OsConfig::audit_every_ticks`) stay clean when the

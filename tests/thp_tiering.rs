@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tiersim::core::{ExperimentConfig, RunReport, TraceConfig};
 use tiersim::policy::TieringMode;
-use tiersim_bench::run_suite_journaled;
+use tiersim_bench::{all_sections, run_suite_journaled};
 use tiersim_core::experiments::Characterization;
 use tiersim_core::journal::{KillMode, KillSpec, RunnerOptions};
 use tiersim_core::sweep::SweepAbort;
@@ -130,27 +130,36 @@ fn thp_suite_is_journal_resumable() {
         c
     };
     let clean_path = scratch("clean");
-    let clean = run_suite_journaled(&suite_cfg(2), &clean_path, RunnerOptions::default(), false)
-        .expect("uninterrupted THP suite");
+    let clean = run_suite_journaled(
+        &suite_cfg(2),
+        &clean_path,
+        RunnerOptions::default(),
+        false,
+        &all_sections(),
+    )
+    .expect("uninterrupted THP suite");
     assert_eq!(clean.exit_code(), 0);
 
     let path = scratch("killed");
     let kill = KillSpec { at_append: 4, torn: false, mode: KillMode::Panic };
     let opts = RunnerOptions { kill: Some(kill), ..Default::default() };
-    let aborted =
-        catch_unwind(AssertUnwindSafe(|| run_suite_journaled(&suite_cfg(2), &path, opts, false)));
+    let aborted = catch_unwind(AssertUnwindSafe(|| {
+        run_suite_journaled(&suite_cfg(2), &path, opts, false, &all_sections())
+    }));
     assert!(aborted.expect_err("kill-point aborts the suite").is::<SweepAbort>());
 
     // Resuming with THP off must be refused: the fingerprint differs.
     let mut non_thp = suite_cfg(2);
     non_thp.thp = false;
     assert!(
-        run_suite_journaled(&non_thp, &path, RunnerOptions::default(), false).is_err(),
+        run_suite_journaled(&non_thp, &path, RunnerOptions::default(), false, &all_sections())
+            .is_err(),
         "a THP journal resumed under a non-THP config"
     );
 
-    let resumed = run_suite_journaled(&suite_cfg(4), &path, RunnerOptions::default(), false)
-        .expect("resumed THP suite");
+    let resumed =
+        run_suite_journaled(&suite_cfg(4), &path, RunnerOptions::default(), false, &all_sections())
+            .expect("resumed THP suite");
     assert_eq!(resumed.output(), clean.output(), "THP suite output diverged after resume");
     assert_eq!(resumed.summary(), clean.summary(), "THP suite summary diverged after resume");
     assert_eq!(
